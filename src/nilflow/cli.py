@@ -8,6 +8,7 @@ failure, 2 invalid parameters, 3 early termination under --strict.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import warnings
@@ -18,6 +19,7 @@ import numpy as np
 from . import __version__
 from .algebra import Family, MetricState, build_group, family_dim
 from .curvature import (
+    curvature_report,
     literal_discrepancy,
     ricci_general,
     ricci_specialized_diag,
@@ -43,7 +45,7 @@ SCHEMA_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# serialization: JSON with floats at 17 significant digits
+# serialization: strict JSON with floats at 17 significant digits, nan/inf as null
 
 def _json_dumps(obj, indent: int = 0) -> str:
     pad = "  " * indent
@@ -51,7 +53,7 @@ def _json_dumps(obj, indent: int = 0) -> str:
         if not obj:
             return "{}"
         items = ",\n".join(
-            f'{pad}  "{k}": {_json_dumps(v, indent + 1)}' for k, v in obj.items()
+            f"{pad}  {json.dumps(str(k))}: {_json_dumps(v, indent + 1)}" for k, v in obj.items()
         )
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
@@ -65,10 +67,11 @@ def _json_dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
+        # strict JSON has no token for nan or inf
+        return format(float(obj), ".17g") if np.isfinite(obj) else "null"
     if obj is None:
         return "null"
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return json.dumps(str(obj))
 
 
 def _write(path: str, text: str) -> None:
@@ -162,13 +165,14 @@ def _cmd_curvature(args, config) -> int:
     g0 = _parse_g0(args.g0, family_dim(family, args.n))
     spec = build_group(family, args.n)
     metric = MetricState.from_diag(g0)
-    ric = ricci_general(spec, metric)
-    r_dev, ric_dev, flagged = literal_discrepancy(spec, metric)
+    report = curvature_report(spec, metric)
+    ric = report.ricci
+    r_dev, ric_dev, flagged = literal_discrepancy(spec, metric, report=report)
     result = {
         "ricci_diag": np.diag(ric),
         "ricci_offdiag_max": float(np.abs(ric - np.diag(np.diag(ric))).max()),
         "ricci_specialized_diag": ricci_specialized_diag(family, g0, args.n),
-        "scalar": scalar_curvature(spec, metric),
+        "scalar": report.scalar,
         "scalar_specialized": scalar_specialized(family, g0, args.n),
         "literal_formula_deviation": {"riemann": r_dev, "ricci": ric_dev,
                                       "flagged": flagged},
@@ -213,6 +217,14 @@ def _cmd_sweep(args, config) -> int:
     family = Family(args.family)
     rhos = _parse_rho_list(args.rho)
     g0 = _parse_g0(args.g0, family_dim(family, args.n))
+    paths = [os.path.join(args.output_dir, f"{family.short}{args.n}_rho{rho:g}.csv")
+             for rho in rhos]
+    seen = {}
+    for rho, path in zip(rhos, paths):
+        if path in seen:
+            raise NilflowError(f"--rho values {seen[path]!r} and {rho!r} would both write "
+                               f"{path} (file names keep 6 significant digits of rho)")
+        seen[path] = rho
     os.makedirs(args.output_dir, exist_ok=True)
     max_workers = int(os.environ.get("NILFLOW_THREADS", "0")) or min(len(rhos), 8)
 
@@ -221,9 +233,7 @@ def _cmd_sweep(args, config) -> int:
 
     summary = []
     status = 0
-    for rho, traj in zip(rhos, trajs):
-        path = os.path.join(args.output_dir,
-                            f"{family.short}{args.n}_rho{rho:g}.csv")
+    for rho, path, traj in zip(rhos, paths, trajs):
         _write(path, traj.to_csv())
         summary.append({
             "rho": rho,

@@ -8,6 +8,7 @@ reported against the canonical values, never used as the source of truth.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +33,29 @@ class CurvatureReport:
     sigma: float | None = None
 
 
+@functools.lru_cache(maxsize=1024)
+def _path(subscripts: str, shapes: tuple) -> list:
+    # einsum_path reads only the operands' shapes; zero-stride views allocate nothing
+    dummies = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return np.einsum_path(subscripts, *dummies, optimize="optimal")[0]
+
+
+def _einsum(subscripts: str, *ops: np.ndarray) -> np.ndarray:
+    """np.einsum along the optimal contraction order, searched once per (subscripts, shapes).
+
+    Unoptimised, a 3-operand contraction such as ikm,jlp,mp->ijkl costs O(d^6);
+    pairwise it costs O(d^5).  Only the order of the sums changes.  A pair has
+    a single order, so it skips the path machinery and its per-call cost.
+    """
+    if len(ops) < 3:
+        return np.einsum(subscripts, *ops)
+    return np.einsum(subscripts, *ops, optimize=_path(subscripts, tuple(op.shape for op in ops)))
+
+
 def adjoint_coeffs(spec: LieAlgebraSpec, metric: MetricState) -> np.ndarray:
     """a[i, j, k] with (ad e_i)* e_j = a_ij^k e_k, i.e. a_ij^k = C_il^m g_jm g^kl."""
     c = spec.structure_dense
-    return np.einsum("ilm,jm,kl->ijk", c, metric.g, metric.inverse)
+    return _einsum("ilm,jm,kl->ijk", c, metric.g, metric.inverse)
 
 
 def christoffel(spec: LieAlgebraSpec, metric: MetricState) -> ConnectionCoeffs:
@@ -53,11 +73,11 @@ def christoffel_metric_components(spec: LieAlgebraSpec, metric: MetricState) -> 
     c = spec.structure_dense
     g, ginv = metric.g, metric.inverse
     term = (
-        np.einsum("ijm,lm->ijl", c, g)
-        - np.einsum("ilm,jm->ijl", c, g)
-        - np.einsum("jlm,im->ijl", c, g)
+        _einsum("ijm,lm->ijl", c, g)
+        - _einsum("ilm,jm->ijl", c, g)
+        - _einsum("jlm,im->ijl", c, g)
     )
-    return 0.5 * np.einsum("kl,ijl->ijk", ginv, term)
+    return 0.5 * _einsum("kl,ijl->ijk", ginv, term)
 
 
 def riemann(spec: LieAlgebraSpec, metric: MetricState) -> np.ndarray:
@@ -70,8 +90,8 @@ def riemann(spec: LieAlgebraSpec, metric: MetricState) -> np.ndarray:
     gamma = christoffel(spec, metric).gamma
     c = spec.structure_dense
     g = metric.g
-    t1 = np.einsum("ikm,jlp,mp->ijkl", gamma, gamma, g)
-    t3 = np.einsum("ijm,mkp,pl->ijkl", c, gamma, g)
+    t1 = _einsum("ikm,jlp,mp->ijkl", gamma, gamma, g)
+    t3 = _einsum("ijm,mkp,pl->ijkl", c, gamma, g)
     return t1 - t1.transpose(1, 0, 2, 3) - t3
 
 
@@ -84,15 +104,15 @@ def riemann_bracket_formula(spec: LieAlgebraSpec, metric: MetricState) -> np.nda
 
     # double brackets vanish on 2-step algebras; kept so the formula stays general
     four_r = (
-        2.0 * np.einsum("ijm,klp,mp->ijkl", c, c, g)  # 2<[X,Y],[Z,W]>
-        + np.einsum("ikm,jlp,mp->ijkl", c, c, g)      # <[X,Z],[Y,W]>
-        - np.einsum("ilm,jkp,mp->ijkl", c, c, g)      # <[X,W],[Y,Z]>
-        - np.einsum("ijm,mkp,pl->ijkl", c, c, g)      # <[[X,Y],Z],W>
-        + np.einsum("ijm,mlp,pk->ijkl", c, c, g)      # <[[X,Y],W],Z>
-        - np.einsum("klm,mip,pj->ijkl", c, c, g)      # <[[Z,W],X],Y>
-        + np.einsum("klm,mjp,pi->ijkl", c, c, g)      # <[[Z,W],Y],X>
-        + 4.0 * np.einsum("ikm,jlp,mp->ijkl", u, u, g)
-        - 4.0 * np.einsum("ilm,jkp,mp->ijkl", u, u, g)
+        2.0 * _einsum("ijm,klp,mp->ijkl", c, c, g)  # 2<[X,Y],[Z,W]>
+        + _einsum("ikm,jlp,mp->ijkl", c, c, g)      # <[X,Z],[Y,W]>
+        - _einsum("ilm,jkp,mp->ijkl", c, c, g)      # <[X,W],[Y,Z]>
+        - _einsum("ijm,mkp,pl->ijkl", c, c, g)      # <[[X,Y],Z],W>
+        + _einsum("ijm,mlp,pk->ijkl", c, c, g)      # <[[X,Y],W],Z>
+        - _einsum("klm,mip,pj->ijkl", c, c, g)      # <[[Z,W],X],Y>
+        + _einsum("klm,mjp,pi->ijkl", c, c, g)      # <[[Z,W],Y],X>
+        + 4.0 * _einsum("ikm,jlp,mp->ijkl", u, u, g)
+        - 4.0 * _einsum("ilm,jkp,mp->ijkl", u, u, g)
     )
     return 0.25 * four_r
 
@@ -108,58 +128,81 @@ def riemann_literal(spec: LieAlgebraSpec, metric: MetricState) -> np.ndarray:
     a = adjoint_coeffs(spec, metric)
     s = a + a.transpose(1, 0, 2)
     four_r = (
-        2.0 * np.einsum("ijp,klq,pq->ijkl", c, c, g)
-        + np.einsum("ikp,jlq,pq->ijkl", c, c, g)
-        - np.einsum("ilp,jkq,pq->ijkl", c, c, g)
-        - np.einsum("ijp,pkq,ql->ijkl", c, c, g)
-        + np.einsum("ijp,plq,pk->ijkl", c, c, g)  # repeated p, as printed
-        - np.einsum("klp,piq,qj->ijkl", c, c, g)
-        + np.einsum("klp,pjq,qi->ijkl", c, c, g)
-        + np.einsum("ikp,jlq,pq->ijkl", s, s, g)
-        - np.einsum("ilp,jkq,pq->ijkl", s, s, g)
+        2.0 * _einsum("ijp,klq,pq->ijkl", c, c, g)
+        + _einsum("ikp,jlq,pq->ijkl", c, c, g)
+        - _einsum("ilp,jkq,pq->ijkl", c, c, g)
+        - _einsum("ijp,pkq,ql->ijkl", c, c, g)
+        + _einsum("ijp,plq,pk->ijkl", c, c, g)  # repeated p, as printed
+        - _einsum("klp,piq,qj->ijkl", c, c, g)
+        + _einsum("klp,pjq,qi->ijkl", c, c, g)
+        + _einsum("ikp,jlq,pq->ijkl", s, s, g)
+        - _einsum("ilp,jkq,pq->ijkl", s, s, g)
     )
     return 0.25 * four_r
 
 
 def ricci_general(spec: LieAlgebraSpec, metric: MetricState) -> np.ndarray:
-    """Ricci matrix Ric_ij = g^km R_kijm from the canonical Riemann tensor."""
-    r = riemann(spec, metric)
-    return np.einsum("km,kijm->ij", metric.inverse, r)
+    """Ricci matrix Ric_ij = g^km R_kijm, contracted from the connection coefficients.
+
+    Each term of R = t1 - t1^T - t3 in :func:`riemann` is summed against g^km
+    before it is expanded, so the d^4 Riemann tensor is never built: O(d^3)
+    memory and O(d^4) time.
+    """
+    gamma = christoffel(spec, metric).gamma
+    c = spec.structure_dense
+    g, ginv = metric.g, metric.inverse
+    return (
+        _einsum("km,kjp,imq,pq->ij", ginv, gamma, gamma, g)    # g^km t1_kijm
+        - _einsum("km,ijp,kmq,pq->ij", ginv, gamma, gamma, g)  # g^km t1_ikjm
+        - _einsum("km,kip,pjq,qm->ij", ginv, c, gamma, g)      # g^km t3_kijm
+    )
 
 
 def ricci_literal(spec: LieAlgebraSpec, metric: MetricState) -> np.ndarray:
-    """Literal evaluation of the printed 4 R_ij component formula (report only)."""
+    """Literal evaluation of the printed 4 R_ij component formula (report only).
+
+    Each printed term is contracted with g^km on its own, so no d^4 array is built.
+    """
     c = spec.structure_dense
     g, ginv = metric.g, metric.inverse
     a = adjoint_coeffs(spec, metric)
     s = a + a.transpose(1, 0, 2)
-    inner4 = (
-        2.0 * np.einsum("kip,jmq,pq->ijkm", c, c, g)
-        + np.einsum("kjp,imq,pq->ijkm", c, c, g)
-        - np.einsum("kmp,ijq,pq->ijkm", c, c, g)
-        - np.einsum("kip,pjq,qm->ijkm", c, c, g)
-        + np.einsum("kip,pmq,qj->ijkm", c, c, g)
-        - np.einsum("jmp,pkq,qi->ijkm", c, c, g)
+    four_ric = (
+        2.0 * _einsum("kip,jmq,pq,km->ij", c, c, g, ginv)
+        + _einsum("kjp,imq,pq,km->ij", c, c, g, ginv)
+        - _einsum("kmp,ijq,pq,km->ij", c, c, g, ginv)
+        - _einsum("kip,pjq,qm,km->ij", c, c, g, ginv)
+        + _einsum("kip,pmq,qj,km->ij", c, c, g, ginv)
+        - _einsum("jmp,pkq,qi,km->ij", c, c, g, ginv)
         # C_jm^p C_pj^q g_qk as printed carries no free i; broadcast over i
-        + np.einsum("jmp,pjq,qk->jkm", c, c, g)[None, :, :, :]
-        + np.einsum("jkp,imq,pq->ijkm", s, s, g)
-        - np.einsum("kmp,ijq,pq->ijkm", s, s, g)
+        + _einsum("jmp,pjq,qk,km->j", c, c, g, ginv)[None, :]
+        + _einsum("jkp,imq,pq,km->ij", s, s, g, ginv)
+        - _einsum("kmp,ijq,pq,km->ij", s, s, g, ginv)
     )
-    return 0.25 * np.einsum("ijkm,km->ij", inner4, ginv)
+    return 0.25 * four_ric
 
 
-def literal_discrepancy(spec: LieAlgebraSpec, metric: MetricState, tol: float = 1e-10):
+def literal_discrepancy(spec: LieAlgebraSpec, metric: MetricState, tol: float = 1e-10,
+                        report: CurvatureReport | None = None):
     """Max |literal - canonical| for the printed Riemann and Ricci formulas.
 
+    The canonical values are those of ``report``, which must belong to
+    ``metric``; without one, a :func:`curvature_report` is built.
     Returns (riemann_dev, ricci_dev, flagged).
     """
-    r_dev = float(np.abs(riemann_literal(spec, metric) - riemann(spec, metric)).max())
-    ric_dev = float(np.abs(ricci_literal(spec, metric) - ricci_general(spec, metric)).max())
+    if report is None:
+        report = curvature_report(spec, metric)
+    r_dev = float(np.abs(riemann_literal(spec, metric) - report.riemann).max())
+    ric_dev = float(np.abs(ricci_literal(spec, metric) - report.ricci).max())
     return r_dev, ric_dev, bool(max(r_dev, ric_dev) > tol)
 
 
+def _scalar(metric: MetricState, ric: np.ndarray) -> float:
+    return float(_einsum("ij,ij->", metric.inverse, ric))
+
+
 def scalar_curvature(spec: LieAlgebraSpec, metric: MetricState) -> float:
-    return float(np.einsum("ij,ij->", metric.inverse, ricci_general(spec, metric)))
+    return _scalar(metric, ricci_general(spec, metric))
 
 
 def _check_diag(diag: np.ndarray, expected_len: int) -> np.ndarray:
@@ -228,13 +271,13 @@ def scalar_specialized(family: Family, metric_diag, n: int) -> float:
 
 
 def curvature_report(spec: LieAlgebraSpec, metric: MetricState) -> CurvatureReport:
-    r = riemann(spec, metric)
-    ric = np.einsum("km,kijm->ij", metric.inverse, r)
-    scal = float(np.einsum("ij,ij->", metric.inverse, ric))
+    """Riemann tensor, Ricci matrix and scalar curvature of one metric, each built once."""
+    ric = ricci_general(spec, metric)
     sigma = None
     if metric.diagonal_flag:
         if spec.family is Family.HEISENBERG:
             sigma = sigma_heisenberg(metric.diag, spec.n)
         else:
             sigma = sigma_quaternion(metric.diag, spec.n)[0]
-    return CurvatureReport(riemann=r, ricci=ric, scalar=scal, sigma=sigma)
+    return CurvatureReport(riemann=riemann(spec, metric), ricci=ric,
+                           scalar=_scalar(metric, ric), sigma=sigma)

@@ -33,6 +33,7 @@ from .errors import (
 EPS_DEGENERATE = 1e-12
 OVERFLOW_LIMIT = 1e300
 HYPOTHESIS_RTOL = 1e-12
+STEP_GRID_RTOL = 1e-9  # t_end/dt may miss a whole number by this much (rounding of dt)
 
 
 class TerminationReason(str, Enum):
@@ -64,6 +65,11 @@ class FlowParams:
             raise InvalidParameterError("record_every must be positive")
         if not np.isfinite([self.rho, self.dt, self.t_end]).all():
             raise InvalidParameterError("flow parameters must be finite")
+        steps = self.t_end / self.dt
+        if abs(steps - round(steps)) > STEP_GRID_RTOL * steps:
+            raise InvalidParameterError(
+                f"t_end must be a whole number of dt steps; t_end/dt = {steps:.17g}"
+            )
         bound = 1.0 / (2.0 * (self.dim - 1))
         if self.rho >= bound:
             warnings.warn(

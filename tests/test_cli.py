@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nilflow import Family, Trajectory, closed_form
-from nilflow.cli import main
+from nilflow.cli import _json_dumps, main
 
 
 def run(args):
@@ -110,6 +110,15 @@ def test_invalid_parameters_exit_2(tmp_path):
                 "--g0", "1,-2,1", "--output", str(out)]) == 2
 
 
+def test_flow_time_grid_not_whole_steps_exit_2(tmp_path, capsys):
+    # t_end = 1, dt = 0.3 would stop at t = 0.9 and still report a full horizon
+    out = tmp_path / "traj.csv"
+    assert run(["flow", "--family", "heisenberg", "--n", "1", "--t-end", "1",
+                "--dt", "0.3", "--output", str(out)]) == 2
+    assert "whole number of dt steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_usage_exit_2(capsys):
     assert run(["no-such-subcommand"]) == 2
     capsys.readouterr()
@@ -179,6 +188,44 @@ def test_sweep(tmp_path, monkeypatch):
         assert np.abs(np.array(r["final_state"]) - g_end).max() < 1e-6
     assert {os.path.basename(r["csv"]) for r in runs} == {
         "H1_rho-0.5.csv", "H1_rho0.csv", "H1_rho0.05.csv"}
+
+
+def test_sweep_file_name_collision_exit_2(tmp_path, capsys):
+    # {rho:g} keeps 6 significant digits: all three rhos would write H1_rho0.0123456.csv
+    outdir = tmp_path / "runs"
+    summary = tmp_path / "sweep.json"
+    assert run(["sweep", "--family", "heisenberg", "--n", "1",
+                "--rho=0.01234561,0.01234562,0.01234561", "--dt", "1e-2", "--t-end", "1",
+                "--output-dir", str(outdir), "--output", str(summary)]) == 2
+    assert "H1_rho0.0123456.csv" in capsys.readouterr().err
+    assert not outdir.exists() and not summary.exists()
+
+
+def _reject_non_finite(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+def test_spectrum_json_is_strict_with_non_finite_values(tmp_path):
+    # this metric makes p_factor_observed nan; strict JSON has no token for it
+    out = tmp_path / "spec.json"
+    assert run(["spectrum", "--family", "heisenberg", "--n", "2",
+                "--g0", "1,2,1,1,1", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text(), parse_constant=_reject_non_finite)
+    assert doc["result"]["p_factor_observed"] is None
+
+
+def test_json_dumps_escapes_and_keeps_float_bytes():
+    obj = {'k"e\\y\n': ['q"uo\\te', "tab\tbell\x07"],
+           "x": [0.1, -1.0 / 3.0, np.float64(2.0) ** 0.5, 1e-300],
+           "bad": [float("nan"), float("inf"), -np.inf]}
+    text = _json_dumps(obj)
+    doc = json.loads(text, parse_constant=_reject_non_finite)
+    assert list(doc) == list(obj)
+    assert doc['k"e\\y\n'] == obj['k"e\\y\n']
+    assert doc["x"] == obj["x"]
+    assert doc["bad"] == [None, None, None]
+    # finite floats keep their 17 significant digits, byte for byte
+    assert "0.10000000000000001" in text and "-0.33333333333333331" in text
 
 
 def test_json_floats_roundtrip(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nilflow.curvature as curvature_module
 from nilflow import (
     DegenerateMetricError,
     Family,
@@ -11,6 +12,7 @@ from nilflow import (
     build_group,
     christoffel,
     christoffel_metric_components,
+    curvature_report,
     inner,
     literal_discrepancy,
     ricci_general,
@@ -23,6 +25,7 @@ from nilflow import (
     sigma_heisenberg,
     sigma_quaternion,
 )
+from nilflow.cli import main
 
 H1 = build_group(Family.HEISENBERG, 1)
 Q1 = build_group(Family.QUATERNION, 1)
@@ -141,6 +144,25 @@ def test_riemann_matches_bracket_expansion():
 
 # --- Ricci and scalar ----------------------------------------------------
 
+def _contract_ricci(r, metric):
+    return np.einsum("km,kijm->ij", metric.inverse, r)
+
+
+@pytest.mark.parametrize("family,n", [(Family.HEISENBERG, 1), (Family.QUATERNION, 1),
+                                      (Family.QUATERNION, 3), (Family.HEISENBERG, 8),
+                                      (Family.QUATERNION, 6)])
+def test_ricci_general_matches_riemann_contractions(family, n):
+    # ricci_general never builds the Riemann tensor; both d^4 routes are its oracles
+    rng = np.random.default_rng(12)
+    spec = build_group(family, n)
+    for _ in range(2):
+        m = random_spd_metric(spec.dim, rng)
+        ric = ricci_general(spec, m)
+        scale = np.abs(ric).max()
+        for r in (riemann(spec, m), riemann_bracket_formula(spec, m)):
+            assert np.abs(ric - _contract_ricci(r, m)).max() <= 1e-12 * scale
+
+
 def test_ricci_h1_identity():
     assert np.allclose(ricci_general(H1, ID3), np.diag([-0.5, -0.5, 0.5]), atol=1e-14)
 
@@ -219,3 +241,29 @@ def test_literal_formulas_agree_on_these_algebras():
         r_dev, ric_dev, flagged = literal_discrepancy(spec, MetricState.from_diag(d))
         assert not flagged
         assert max(r_dev, ric_dev) < 1e-10
+
+
+def test_literal_formulas_agree_q3():
+    rng = np.random.default_rng(13)
+    spec = build_group(Family.QUATERNION, 3)
+    m = MetricState.from_diag(rng.uniform(0.5, 2.0, spec.dim))
+    r_dev, ric_dev, flagged = literal_discrepancy(spec, m)
+    assert not flagged
+    assert max(r_dev, ric_dev) < 1e-10
+    report = curvature_report(spec, m)
+    assert literal_discrepancy(spec, m, report=report) == (r_dev, ric_dev, flagged)
+
+
+def test_curvature_command_builds_one_riemann_tensor(tmp_path, monkeypatch):
+    calls = []
+    original = curvature_module.riemann
+
+    def counting_riemann(spec, metric):
+        calls.append(metric)
+        return original(spec, metric)
+
+    monkeypatch.setattr(curvature_module, "riemann", counting_riemann)
+    assert main(["curvature", "--family", "quaternion", "--n", "2",
+                 "--g0", ",".join(["1.5"] * 8 + ["0.5"] * 3),
+                 "--output", str(tmp_path / "cur.json")]) == 0
+    assert len(calls) == 1

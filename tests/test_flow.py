@@ -105,6 +105,18 @@ def test_flow_params_validation():
         FlowParams(Family.HEISENBERG, 1, rho=0.5)
 
 
+@pytest.mark.parametrize("t_end,dt", [(1.0, 0.3), (2.0, 0.15), (1.0, 1e-3 * 1.5)])
+def test_flow_params_rejects_partial_last_step(t_end, dt):
+    # a horizon that is not a whole number of steps would stop short of t_end
+    with pytest.raises(InvalidParameterError):
+        FlowParams(Family.HEISENBERG, 1, dt=dt, t_end=t_end)
+
+
+@pytest.mark.parametrize("t_end,dt", [(2.0, 1e-3), (0.25, 1e-3), (1000.0, 0.5)])
+def test_flow_params_accepts_whole_step_grids(t_end, dt):
+    assert FlowParams(Family.HEISENBERG, 1, dt=dt, t_end=t_end).t_end == t_end
+
+
 def test_times_increasing_and_states_positive():
     params = FlowParams(Family.HEISENBERG, 2, rho=-0.5, dt=1e-2, t_end=2.0)
     traj = integrate(params, np.ones(5))
