@@ -19,11 +19,11 @@ import numpy as np
 from . import __version__
 from .algebra import Family, MetricState, build_group, family_dim
 from .curvature import (
+    _scalar,
     curvature_report,
     literal_discrepancy,
     ricci_general,
     ricci_specialized_diag,
-    scalar_curvature,
     scalar_specialized,
     sigma_heisenberg,
     sigma_quaternion,
@@ -298,7 +298,7 @@ def _cmd_verify(args, config) -> int:
         ric = ricci_general(spec, m)
         dev = max(dev, float(np.abs(np.diag(ric) - ricci_specialized_diag(family, d, n)).max()))
         dev = max(dev, float(np.abs(ric - np.diag(np.diag(ric))).max()))
-        dev = max(dev, abs(scalar_curvature(spec, m) - scalar_specialized(family, d, n)))
+        dev = max(dev, abs(_scalar(m, ric) - scalar_specialized(family, d, n)))
     add("ricci_oracle_equivalence", 1e-12, dev)
 
     # closed form vs integrator (identity initial data is always admissible)

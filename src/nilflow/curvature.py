@@ -205,56 +205,102 @@ def scalar_curvature(spec: LieAlgebraSpec, metric: MetricState) -> float:
     return _scalar(metric, ricci_general(spec, metric))
 
 
-def _check_diag(diag: np.ndarray, expected_len: int) -> np.ndarray:
+def _check_diag(diag, expected_len: int) -> np.ndarray:
     diag = np.asarray(diag, dtype=float)
     if diag.shape != (expected_len,):
         raise InvalidParameterError(
             f"diagonal metric must have length {expected_len}, got {diag.shape}"
         )
-    if np.any(diag <= 0.0):
+    # two reductions: min is nan if any entry is nan, max is inf if any entry is +inf
+    if not (diag.min() > 0.0 and diag.max() < np.inf):
+        if not np.isfinite(diag).all():
+            raise InvalidParameterError("diagonal metric has a non-finite component")
         raise DegenerateMetricError("diagonal metric has a nonpositive component")
     return diag
 
 
+@functools.lru_cache(maxsize=256)
+def _diag_kernel(family: Family, n: int):
+    """The closed-form diagonal curvature of H_n or Q_n as one function of g.
+
+    Built once per (family, n) on first use.  The returned ``kernel(g)`` takes a
+    checked diagonal and gives ``(ricci_diag, scalar, sigma)``, where sigma is
+    Sigma on H_n and (Sigma', Sigma_1, Sigma_2, Sigma_3) on Q_n, all from one
+    evaluation of the sums.  Gather indices replace the per-block slices; each
+    entry is computed by the same float operations, in the same order, as the
+    slice formulas it stands for, so the results are bitwise those formulas'.
+    """
+    family = Family(family)
+    if n < 1:
+        raise InvalidParameterError("n must be positive")
+    dim = family_dim(family, n)
+    if family is Family.HEISENBERG:
+        # Ric_i = -g_N / (2 g_{n+i}), Ric_{n+i} = -g_N / (2 g_i); the last slot is overwritten
+        den = np.r_[n : 2 * n, :n, 2 * n]
+
+        def kernel(g):
+            g_n = g[2 * n]
+            sigma = float(np.add.reduce(1.0 / (g[:n] * g[n : 2 * n])))
+            r = -0.5 * g_n / g[den]
+            r[2 * n] = 0.5 * g_n**2 * sigma
+            return r, -0.5 * float(g_n) * sigma, sigma
+
+        kernel.dim = dim
+        return kernel
+
+    # V block b (entries b*n .. b*n+n-1) has Ric = -(z_a/v_p + z_b/v_q + z_c/v_r)/2,
+    # summed left to right; terms[b] lists its (center slot, V block) pairs
+    terms = (((0, 1), (2, 2), (1, 3)), ((0, 0), (1, 2), (2, 3)),
+             ((2, 0), (1, 1), (0, 3)), ((1, 0), (2, 1), (0, 2)))
+    block = np.arange(n)
+    # num_den[0] / num_den[1] is (3, dim): one row per term; the center columns
+    # divide z_1 by itself and are overwritten
+    num_den = np.full((2, 3, dim), 4 * n)
+    for b, row in enumerate(terms):
+        for a, (z, v) in enumerate(row):
+            num_den[0, a, b * n : (b + 1) * n] = 4 * n + z
+            num_den[1, a, b * n : (b + 1) * n] = v * n + block
+    # Sigma_k = sum_i 1/(v_p v_q) + 1/(v_r v_s): pairs[0] * pairs[1] is (3, 2, n)
+    blocks = (((0, 1), (2, 3)), ((0, 3), (1, 2)), ((0, 2), (1, 3)))
+    pairs = np.array([[[p * n + block for p, _ in row] for row in blocks],
+                      [[q * n + block for _, q in row] for row in blocks]])
+
+    def kernel(g):
+        nd = g[num_den]
+        q = nd[0] / nd[1]
+        r = -0.5 * (q[0] + q[1] + q[2])
+        vv = g[pairs]
+        p = 1.0 / (vv[0] * vv[1])
+        s1, s2, s3 = np.add.reduce(p[:, 0] + p[:, 1], axis=1).tolist()
+        z1, z2, z3 = g[4 * n :].tolist()
+        sigma_prime = z1 * s1 + z2 * s2 + z3 * s3
+        r[4 * n] = 0.5 * z1**2 * s1
+        r[4 * n + 1] = 0.5 * z2**2 * s2
+        r[4 * n + 2] = 0.5 * z3**2 * s3
+        return r, -0.5 * sigma_prime, (sigma_prime, s1, s2, s3)
+
+    kernel.dim = dim
+    return kernel
+
+
+def _diag_curvature(family: Family, metric_diag, n: int):
+    kernel = _diag_kernel(family, n)
+    return kernel(_check_diag(metric_diag, kernel.dim))
+
+
 def sigma_heisenberg(metric_diag, n: int) -> float:
     """Sigma = sum_k 1/(g_k g_{n+k}) for a diagonal metric on H_n."""
-    g = _check_diag(metric_diag, 2 * n + 1)
-    return float(np.sum(1.0 / (g[:n] * g[n : 2 * n])))
+    return _diag_curvature(Family.HEISENBERG, metric_diag, n)[2]
 
 
 def sigma_quaternion(metric_diag, n: int):
     """(Sigma', Sigma_1, Sigma_2, Sigma_3) for a diagonal metric on Q_n."""
-    g = _check_diag(metric_diag, 4 * n + 3)
-    v1, v2, v3, v4 = g[:n], g[n : 2 * n], g[2 * n : 3 * n], g[3 * n : 4 * n]
-    s1 = float(np.sum(1.0 / (v1 * v2) + 1.0 / (v3 * v4)))
-    s2 = float(np.sum(1.0 / (v1 * v4) + 1.0 / (v2 * v3)))
-    s3 = float(np.sum(1.0 / (v1 * v3) + 1.0 / (v2 * v4)))
-    sigma_prime = g[4 * n] * s1 + g[4 * n + 1] * s2 + g[4 * n + 2] * s3
-    return float(sigma_prime), s1, s2, s3
+    return _diag_curvature(Family.QUATERNION, metric_diag, n)[2]
 
 
 def ricci_specialized_diag(family: Family, metric_diag, n: int) -> np.ndarray:
     """Diagonal Ricci entries from the closed-form expressions for H_n / Q_n."""
-    family = Family(family)
-    g = _check_diag(metric_diag, family_dim(family, n))
-    r = np.empty_like(g)
-    if family is Family.HEISENBERG:
-        g_n = g[2 * n]
-        r[:n] = -0.5 * g_n / g[n : 2 * n]
-        r[n : 2 * n] = -0.5 * g_n / g[:n]
-        r[2 * n] = 0.5 * g_n**2 * sigma_heisenberg(g, n)
-    else:
-        z1, z2, z3 = g[4 * n], g[4 * n + 1], g[4 * n + 2]
-        v1, v2, v3, v4 = g[:n], g[n : 2 * n], g[2 * n : 3 * n], g[3 * n : 4 * n]
-        r[:n] = -0.5 * (z1 / v2 + z3 / v3 + z2 / v4)
-        r[n : 2 * n] = -0.5 * (z1 / v1 + z2 / v3 + z3 / v4)
-        r[2 * n : 3 * n] = -0.5 * (z3 / v1 + z2 / v2 + z1 / v4)
-        r[3 * n : 4 * n] = -0.5 * (z2 / v1 + z3 / v2 + z1 / v3)
-        _, s1, s2, s3 = sigma_quaternion(g, n)
-        r[4 * n] = 0.5 * z1**2 * s1
-        r[4 * n + 1] = 0.5 * z2**2 * s2
-        r[4 * n + 2] = 0.5 * z3**2 * s3
-    return r
+    return _diag_curvature(family, metric_diag, n)[0]
 
 
 def ricci_specialized(family: Family, metric_diag, n: int) -> np.ndarray:
@@ -263,11 +309,7 @@ def ricci_specialized(family: Family, metric_diag, n: int) -> np.ndarray:
 
 def scalar_specialized(family: Family, metric_diag, n: int) -> float:
     """R = -(1/2) g_N Sigma on H_n, R = -(1/2) Sigma' on Q_n."""
-    family = Family(family)
-    g = _check_diag(metric_diag, family_dim(family, n))
-    if family is Family.HEISENBERG:
-        return -0.5 * float(g[2 * n]) * sigma_heisenberg(g, n)
-    return -0.5 * sigma_quaternion(g, n)[0]
+    return _diag_curvature(family, metric_diag, n)[1]
 
 
 def curvature_report(spec: LieAlgebraSpec, metric: MetricState) -> CurvatureReport:

@@ -15,10 +15,10 @@ import numpy as np
 
 from .algebra import Family, LieAlgebraSpec, MetricState, family_dim
 from .curvature import (
+    _check_diag,
+    _diag_kernel,
     ricci_general,
-    ricci_specialized_diag,
     scalar_curvature,
-    scalar_specialized,
     sigma_heisenberg,
     sigma_quaternion,
 )
@@ -143,10 +143,9 @@ def rhs_diagonal(family: Family, g, n: int, rho: float) -> np.ndarray:
     Built from the same specialized Ricci/scalar terms, so at rho = 0 this is
     bitwise equal to -2 * (diagonal Ricci).
     """
-    family = Family(family)
-    g = np.asarray(g, dtype=float)
-    r = ricci_specialized_diag(family, g, n)
-    scal = scalar_specialized(family, g, n)
+    kernel = _diag_kernel(family, n)
+    g = _check_diag(g, kernel.dim)
+    r, scal, _ = kernel(g)
     return -2.0 * r + (2.0 * rho * scal) * g
 
 
@@ -155,11 +154,15 @@ def integrate(params: FlowParams, g0) -> Trajectory:
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (params.dim,):
         raise InvalidParameterError(f"g0 must have length {params.dim}")
+    if not np.isfinite(g0).all():
+        raise InvalidParameterError("g0 has a non-finite component")
     if np.any(g0 <= 0.0):
         raise DegenerateMetricError("g0 has a nonpositive component")
 
     fam, n, rho, dt = params.family, params.n, params.rho, params.dt
     n_steps = int(round(params.t_end / dt)) if params.t_end > 0.0 else 0
+    stage_steps = (0.5 * dt, 0.5 * dt, dt)  # k2, k3, k4 are taken at g + c * (previous k)
+    sixth = dt / 6.0
 
     times = [0.0]
     states = [g0.copy()]
@@ -167,33 +170,26 @@ def integrate(params: FlowParams, g0) -> Trajectory:
     reason = TerminationReason.HORIZON
 
     def ok(state: np.ndarray) -> bool:
-        return bool(np.all(state > EPS_DEGENERATE) and np.all(state < OVERFLOW_LIMIT)
-                    and np.isfinite(state).all())
+        # a nan fails both comparisons
+        return state.min() > EPS_DEGENERATE and state.max() < OVERFLOW_LIMIT
 
     for step in range(1, n_steps + 1):
-        k1 = rhs_diagonal(fam, g, n, rho)
-        g2 = g + 0.5 * dt * k1
-        if not ok(g2):
-            reason = _failure_reason(g2)
+        ks = [rhs_diagonal(fam, g, n, rho)]
+        for c in stage_steps:
+            state = g + c * ks[-1]
+            if not ok(state):
+                break
+            ks.append(rhs_diagonal(fam, state, n, rho))
+        else:
+            k1, k2, k3, k4 = ks
+            state = g + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not ok(state):
+            reason = _failure_reason(state)
             break
-        k2 = rhs_diagonal(fam, g2, n, rho)
-        g3 = g + 0.5 * dt * k2
-        if not ok(g3):
-            reason = _failure_reason(g3)
-            break
-        k3 = rhs_diagonal(fam, g3, n, rho)
-        g4 = g + dt * k3
-        if not ok(g4):
-            reason = _failure_reason(g4)
-            break
-        k4 = rhs_diagonal(fam, g4, n, rho)
-        g = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not ok(g):
-            reason = _failure_reason(g)
-            break
+        g = state
         if step % params.record_every == 0 or step == n_steps:
             times.append(step * dt)
-            states.append(g.copy())
+            states.append(g)
 
     traj = Trajectory(
         family=fam, n=n, rho=rho,

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import nilflow.cli as cli_module
 import nilflow.curvature as curvature_module
 from nilflow import (
     DegenerateMetricError,
     Family,
+    InvalidParameterError,
     MetricState,
     adjoint_coeffs,
     bracket,
@@ -231,6 +233,24 @@ def test_degenerate_metric_raises():
         ricci_specialized_diag(Family.HEISENBERG, np.array([1.0, 1.0, -1.0]), 1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_specialized_rejects_non_finite_metric(bad):
+    g = np.array([1.0, bad, 1.0])
+    with pytest.raises(InvalidParameterError):
+        ricci_specialized_diag(Family.HEISENBERG, g, 1)
+    with pytest.raises(InvalidParameterError):
+        scalar_specialized(Family.HEISENBERG, g, 1)
+    with pytest.raises(InvalidParameterError):
+        sigma_quaternion(np.r_[np.ones(6), bad], 1)
+
+
+def test_specialized_rejects_n_below_one():
+    with pytest.raises(InvalidParameterError):
+        ricci_specialized_diag(Family.HEISENBERG, np.ones(1), 0)
+    with pytest.raises(InvalidParameterError):
+        scalar_specialized(Family.QUATERNION, np.ones(3), 0)
+
+
 # --- printed component formulas (report only) ----------------------------
 
 def test_literal_formulas_agree_on_these_algebras():
@@ -267,3 +287,18 @@ def test_curvature_command_builds_one_riemann_tensor(tmp_path, monkeypatch):
                  "--g0", ",".join(["1.5"] * 8 + ["0.5"] * 3),
                  "--output", str(tmp_path / "cur.json")]) == 0
     assert len(calls) == 1
+
+
+def test_verify_command_builds_each_ricci_matrix_once(tmp_path, monkeypatch):
+    calls = []
+    original = curvature_module.ricci_general
+
+    def counting_ricci(spec, metric):
+        calls.append(metric)
+        return original(spec, metric)
+
+    monkeypatch.setattr(curvature_module, "ricci_general", counting_ricci)
+    monkeypatch.setattr(cli_module, "ricci_general", counting_ricci)
+    assert main(["verify", "--family", "heisenberg", "--n", "1",
+                 "--output", str(tmp_path / "verify.json")]) == 0
+    assert len(calls) == 25  # one per random metric of the oracle check

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilflow import (
     DegenerateMetricError,
@@ -21,6 +23,7 @@ from nilflow import (
     rb_rhs_general,
     rhs_diagonal,
     ricci_specialized_diag,
+    scalar_specialized,
 )
 
 
@@ -66,6 +69,67 @@ def test_rhs_rejects_nonpositive_component():
         rhs_diagonal(Family.HEISENBERG, np.array([1.0, 0.0, 1.0]), 1, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rhs_rejects_non_finite_component(bad):
+    with pytest.raises(InvalidParameterError):
+        rhs_diagonal(Family.HEISENBERG, np.array([1.0, bad, 1.0]), 1, 0.0)
+
+
+def slice_formulas(family, g, n):
+    """Diagonal Ricci and scalar by block slices, as the closed forms are printed.
+
+    The same float operations in the same order as the library's gathered
+    kernel, so the two must agree bit for bit.
+    """
+    r = np.empty_like(g)
+    if family is Family.HEISENBERG:
+        g_n = g[2 * n]
+        r[:n] = -0.5 * g_n / g[n : 2 * n]
+        r[n : 2 * n] = -0.5 * g_n / g[:n]
+        sigma = float(np.sum(1.0 / (g[:n] * g[n : 2 * n])))
+        r[2 * n] = 0.5 * g_n**2 * sigma
+        return r, -0.5 * float(g_n) * sigma
+    z1, z2, z3 = g[4 * n], g[4 * n + 1], g[4 * n + 2]
+    v1, v2, v3, v4 = g[:n], g[n : 2 * n], g[2 * n : 3 * n], g[3 * n : 4 * n]
+    r[:n] = -0.5 * (z1 / v2 + z3 / v3 + z2 / v4)
+    r[n : 2 * n] = -0.5 * (z1 / v1 + z2 / v3 + z3 / v4)
+    r[2 * n : 3 * n] = -0.5 * (z3 / v1 + z2 / v2 + z1 / v4)
+    r[3 * n : 4 * n] = -0.5 * (z2 / v1 + z3 / v2 + z1 / v3)
+    s1 = float(np.sum(1.0 / (v1 * v2) + 1.0 / (v3 * v4)))
+    s2 = float(np.sum(1.0 / (v1 * v4) + 1.0 / (v2 * v3)))
+    s3 = float(np.sum(1.0 / (v1 * v3) + 1.0 / (v2 * v4)))
+    r[4 * n] = 0.5 * z1**2 * s1
+    r[4 * n + 1] = 0.5 * z2**2 * s2
+    r[4 * n + 2] = 0.5 * z3**2 * s3
+    return r, -0.5 * float(z1 * s1 + z2 * s2 + z3 * s3)
+
+
+@st.composite
+def diagonal_cases(draw):
+    family = draw(st.sampled_from(list(Family)))
+    n = draw(st.integers(1, 12))
+    d = dim_of(family, n)
+    g = np.array(draw(st.lists(st.floats(0.3, 3.0), min_size=d, max_size=d)))
+    return family, n, g, draw(st.floats(-1.0, 0.1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagonal_cases())
+def test_rhs_is_bitwise_the_specialized_terms(case):
+    family, n, g, rho = case
+    rhs = rhs_diagonal(family, g, n, rho)
+    ric = ricci_specialized_diag(family, g, n)
+    scal = scalar_specialized(family, g, n)
+    assert rhs.tobytes() == (-2.0 * ric + (2.0 * rho * scal) * g).tobytes()
+    slice_ric, slice_scal = slice_formulas(family, g, n)
+    assert ric.tobytes() == slice_ric.tobytes()
+    assert scal == slice_scal
+    if n <= 3:
+        general = np.diag(rb_rhs_general(build_group(family, n), MetricState.from_diag(g), rho))
+        # entries reach ~2e3 on this domain, where one ulp is 2.3e-13
+        assert np.abs(general - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
+
+
 # --- integrator ----------------------------------------------------------
 
 def test_integrate_h1_matches_closed_form_value():
@@ -94,6 +158,12 @@ def test_integrate_rejects_bad_g0():
         integrate(params, np.ones(4))
     with pytest.raises(DegenerateMetricError):
         integrate(params, np.array([1.0, 1.0, -1.0]))
+
+
+def test_integrate_rejects_non_finite_g0():
+    params = FlowParams(Family.HEISENBERG, 1)
+    with pytest.raises(InvalidParameterError):
+        integrate(params, np.array([1.0, np.nan, 1.0]))
 
 
 def test_flow_params_validation():
