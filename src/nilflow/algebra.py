@@ -64,6 +64,31 @@ class LieAlgebraSpec:
             c[j, i, k] -= v
         return c
 
+    @cached_property
+    def complement_array(self) -> np.ndarray:
+        return np.array(self.complement_indices, dtype=np.intp)
+
+    @cached_property
+    def center_array(self) -> np.ndarray:
+        return np.array(self.center_indices, dtype=np.intp)
+
+    @cached_property
+    def complement_block(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.ix_`` index pair that cuts the V x V block out of a dim x dim matrix."""
+        return np.ix_(self.complement_array, self.complement_array)
+
+    @cached_property
+    def structure_vv(self) -> np.ndarray:
+        """The (dim_V, dim_V, dim) complement block of ``structure_dense``."""
+        return self.structure_dense[self.complement_block]
+
+    @cached_property
+    def structure_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The (i, j, k, value) columns of ``structure`` as arrays."""
+        cols = np.array(self.structure, dtype=float).reshape(-1, 4).T
+        i, j, k = cols[:3].astype(np.intp)
+        return i, j, k, cols[3]
+
     @property
     def dim_v(self) -> int:
         return len(self.complement_indices)
@@ -92,8 +117,8 @@ class MetricState:
             raise DegenerateMetricError("metric is not positive definite")
         if self.diagonal_flag and np.any(g - np.diag(np.diag(g)) != 0.0):
             raise InvalidParameterError("diagonal_flag set but off-diagonal entries nonzero")
-        if self.t < 0.0:
-            raise InvalidParameterError("flow time must be nonnegative")
+        if not (np.isfinite(self.t) and self.t >= 0.0):
+            raise InvalidParameterError(f"flow time must be finite and nonnegative, got {self.t}")
 
     @classmethod
     def from_diag(cls, diag, t: float = 0.0) -> "MetricState":
@@ -149,9 +174,14 @@ def bracket(spec: LieAlgebraSpec, x, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if x.shape != (spec.dim,) or y.shape != (spec.dim,):
         raise InvalidParameterError("bracket arguments must have length dim")
+    return _bracket(spec, x, y)
+
+
+def _bracket(spec: LieAlgebraSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Unchecked ``bracket``: ``add.at`` accumulates each ``out[k]`` in structure order."""
+    i, j, k, v = spec.structure_columns
     out = np.zeros(spec.dim)
-    for i, j, k, v in spec.structure:
-        out[k] += v * (x[i] * y[j] - x[j] * y[i])
+    np.add.at(out, k, v * (x[i] * y[j] - x[j] * y[i]))
     return out
 
 

@@ -212,6 +212,8 @@ def closed_form_coeffs(family: Family, g0, n: int, rho: float) -> ClosedFormCoef
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (family_dim(family, n),):
         raise InvalidParameterError("g0 has the wrong length")
+    if not np.isfinite(g0).all() or not np.isfinite(rho):
+        raise InvalidParameterError("g0 and rho must be finite")
     if np.any(g0 <= 0.0):
         raise DegenerateMetricError("g0 has a nonpositive component")
     if family is Family.HEISENBERG:
@@ -251,6 +253,8 @@ def closed_form(family: Family, g0, n: int, rho: float, t: float) -> np.ndarray:
     family = Family(family)
     g0 = np.asarray(g0, dtype=float)
     coeffs = closed_form_coeffs(family, g0, n, rho)
+    if not np.isfinite(t):
+        raise InvalidParameterError(f"t must be finite, got {t}")
     base = 1.0 + coeffs.b_or_c * t
     if base <= 0.0:
         raise OutOfDomainError(f"1 + {coeffs.b_or_c:g} * t is nonpositive at t = {t:g}")
@@ -270,6 +274,8 @@ def conserved_quantities(family: Family, n: int, rho: float, g) -> dict[str, flo
     g = np.asarray(g, dtype=float)
     if g.shape != (family_dim(family, n),):
         raise InvalidParameterError("metric vector has the wrong length")
+    if not np.isfinite(g).all() or not np.isfinite(rho):
+        raise InvalidParameterError("metric vector and rho must be finite")
     if np.any(g <= 0.0):
         raise DegenerateMetricError("metric vector has a nonpositive component")
     out: dict[str, float] = {}

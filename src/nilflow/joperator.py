@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import Family, LieAlgebraSpec, MetricState, bracket, inner
+from .algebra import Family, LieAlgebraSpec, MetricState, _bracket
 from .errors import InvalidParameterError, OutOfDomainError
 
 CLUSTER_RTOL = 1e-9
@@ -42,7 +42,9 @@ def _center_coords(spec: LieAlgebraSpec, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (spec.dim,):
         raise InvalidParameterError("Z must be a full-length algebra vector")
-    if np.any(z[list(spec.complement_indices)] != 0.0):
+    if not np.isfinite(z).all():
+        raise InvalidParameterError("Z has a non-finite component")
+    if np.any(z[spec.complement_array] != 0.0):
         raise InvalidParameterError("Z must lie in the center")
     return z
 
@@ -53,15 +55,16 @@ def j_matrix(spec: LieAlgebraSpec, metric: MetricState, z) -> np.ndarray:
     Solves G_V M = B^T with B_ij = <Z, [e_i, e_j]> over the complement basis.
     """
     z = _center_coords(spec, z)
-    v_idx = list(spec.complement_indices)
-    gz = metric.g @ z
-    dim_v = len(v_idx)
-    b = np.zeros((dim_v, dim_v))
-    for a, i in enumerate(v_idx):
-        for c, j in enumerate(v_idx):
-            w = spec.structure_dense[i, j]
-            b[a, c] = gz @ w
-    g_v = metric.g[np.ix_(v_idx, v_idx)]
+    return _j_matrix(spec, metric.g, metric.g[spec.complement_block], z)
+
+
+def _j_matrix(spec: LieAlgebraSpec, g: np.ndarray, g_v: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Unchecked ``j_matrix`` for a central Z, given the Gram matrix and its V block.
+
+    Each C[i, j, :] has at most one nonzero entry, so each entry of B is a
+    single product, the same one the per-pair dot ``(g z) . C[i, j]`` gives.
+    """
+    b = spec.structure_vv @ (g @ z)
     return np.linalg.solve(g_v, b.T)
 
 
@@ -83,11 +86,12 @@ def _cluster(eigs: np.ndarray) -> list[list[int]]:
     return groups
 
 
-def _heisenberg_like_for_z(spec, metric, z, w_bases, rng=None) -> bool:
-    """Check [j(Z)X, X] in span(Z) on eigenspace bases plus random combinations."""
-    z_norm2 = inner(metric, z, z)
-    v_idx = list(spec.complement_indices)
-    j = j_matrix(spec, metric, z)
+def _heisenberg_like_for_z(spec, g, z, z_norm2, j, w_bases, rng=None) -> bool:
+    """Check [j(Z)X, X] in span(Z) on eigenspace bases plus random combinations.
+
+    ``g`` is the Gram matrix, ``z_norm2`` = <Z, Z> and ``j`` the matrix of j(Z).
+    """
+    v_idx = spec.complement_array
     if rng is None:
         rng = np.random.default_rng(20240 + spec.dim)
     for basis in w_bases:
@@ -102,12 +106,12 @@ def _heisenberg_like_for_z(spec, metric, z, w_bases, rng=None) -> bool:
             x[v_idx] = x_v
             jx = np.zeros(spec.dim)
             jx[v_idx] = j @ x_v
-            br = bracket(spec, jx, x)
+            br = _bracket(spec, jx, x)
             # residual of br orthogonal to Z under the metric
-            proj = inner(metric, br, z) / z_norm2
+            proj = float(br @ g @ z) / z_norm2
             resid = br - proj * z
             scale = max(np.linalg.norm(br), np.linalg.norm(x_v) ** 2 * np.sqrt(z_norm2), 1e-30)
-            if np.sqrt(max(inner(metric, resid, resid), 0.0)) > LIKE_RTOL * scale:
+            if np.sqrt(max(float(resid @ g @ resid), 0.0)) > LIKE_RTOL * scale:
                 return False
     return True
 
@@ -117,10 +121,14 @@ def spectrum(spec: LieAlgebraSpec, metric: MetricState, z) -> SpectralReport:
     z = _center_coords(spec, z)
     if not np.any(z):
         raise InvalidParameterError("Z must be nonzero")
-    v_idx = list(spec.complement_indices)
-    m = j_matrix(spec, metric, z)
-    g_v = metric.g[np.ix_(v_idx, v_idx)]
-    s, s_inv = _metric_sqrt(g_v)
+    g_v = metric.g[spec.complement_block]
+    return _spectrum(spec, metric.g, g_v, _metric_sqrt(g_v), z)
+
+
+def _spectrum(spec, g, g_v, root, z) -> SpectralReport:
+    """Unchecked ``spectrum`` for a nonzero central Z; ``root`` is ``_metric_sqrt(g_v)``."""
+    m = _j_matrix(spec, g, g_v, z)
+    s, s_inv = root
     k = s @ m @ s_inv  # antisymmetric in the orthonormal frame
     eigs, vecs = np.linalg.eigh(k @ k)
     eigs = np.minimum(eigs, 0.0)
@@ -139,11 +147,11 @@ def spectrum(spec: LieAlgebraSpec, metric: MetricState, z) -> SpectralReport:
     dims = [dims[i] for i in order]
     w_bases = [w_bases[i] for i in order]
 
-    z_norm2 = inner(metric, z, z)
+    z_norm2 = float(z @ g @ z)
     mu = len(thetas)
     if mu == 1 and abs(thetas[0] ** 2 - z_norm2) <= TYPE_ATOL * max(1.0, z_norm2):
         verdict = Verdict.HEISENBERG_TYPE
-    elif _heisenberg_like_for_z(spec, metric, z, w_bases):
+    elif _heisenberg_like_for_z(spec, g, z, z_norm2, m, w_bases):
         verdict = Verdict.HEISENBERG_LIKE
     else:
         verdict = Verdict.NEITHER
@@ -174,7 +182,9 @@ def classify(spec: LieAlgebraSpec, metric: MetricState, seed: int = 7) -> Verdic
         z[z_idx] = coeffs / np.linalg.norm(coeffs)
         samples.append(z)
 
-    reports = [spectrum(spec, metric, z) for z in samples]
+    g_v = metric.g[spec.complement_block]
+    root = _metric_sqrt(g_v)
+    reports = [_spectrum(spec, metric.g, g_v, root, z) for z in samples]
     if all(r.verdict is Verdict.HEISENBERG_TYPE for r in reports):
         return Verdict.HEISENBERG_TYPE
     if all(r.verdict in (Verdict.HEISENBERG_TYPE, Verdict.HEISENBERG_LIKE) for r in reports):
@@ -185,6 +195,8 @@ def classify(spec: LieAlgebraSpec, metric: MetricState, seed: int = 7) -> Verdic
 def theoretical_p_factor(family: Family, n: int, rho: float, t: float) -> float:
     """The degradation factor 1/((n+2-n rho) t + 1) or 1/((6+2n-6n rho) t + 1)."""
     family = Family(family)
+    if not np.isfinite([rho, t]).all():
+        raise InvalidParameterError(f"rho and t must be finite, got rho = {rho}, t = {t}")
     if family is Family.HEISENBERG:
         denom = (n + 2 - n * rho) * t + 1.0
     else:
@@ -197,11 +209,15 @@ def theoretical_p_factor(family: Family, n: int, rho: float, t: float) -> float:
 def verify_p8(spec: LieAlgebraSpec, metric: MetricState, p: float,
               samples: int = 200, seed: int = 0) -> dict:
     """Residuals of the five P-factor inner-product identities on random tuples."""
+    if samples < 1:
+        raise InvalidParameterError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
-    v_idx = list(spec.complement_indices)
-    z_idx = list(spec.center_indices)
+    v_idx = spec.complement_array
+    z_idx = spec.center_array
     dim_v = len(v_idx)
-    g_v = metric.g[np.ix_(v_idx, v_idx)]
+    g = metric.g
+    g_v = g[spec.complement_block]
+    eye_v = np.eye(dim_v)
     names = ["cross_product", "polarized", "norm", "anticommutator", "bracket"]
     worst = dict.fromkeys(names, 0.0)
 
@@ -215,17 +231,19 @@ def verify_p8(spec: LieAlgebraSpec, metric: MetricState, p: float,
         yv = rng.standard_normal(dim_v)
         z = full(z_idx, rng.standard_normal(len(z_idx)))
         zs = full(z_idx, rng.standard_normal(len(z_idx)))
-        jz = j_matrix(spec, metric, z)
-        jzs = j_matrix(spec, metric, zs)
+        jz = _j_matrix(spec, g, g_v, z)
+        jzs = _j_matrix(spec, g, g_v, zs)
+        jz_x = jz @ xv
         x_x = xv @ g_v @ xv
-        z_zs = inner(metric, z, zs)
+        z_zs = float(z @ g @ zs)
+        z_z = float(z @ g @ z)
 
-        r1 = abs((jz @ xv) @ g_v @ (jzs @ xv) - p * z_zs * x_x)
-        r2 = abs((jz @ xv) @ g_v @ (jz @ yv) - p * inner(metric, z, z) * (xv @ g_v @ yv))
-        r3 = abs(np.sqrt((jz @ xv) @ g_v @ (jz @ xv))
-                 - np.sqrt(p) * np.sqrt(inner(metric, z, z)) * np.sqrt(x_x))
-        r4 = np.abs(jz @ jzs + jzs @ jz + 2.0 * p * z_zs * np.eye(dim_v)).max()
-        br = bracket(spec, full(v_idx, xv), full(v_idx, jz @ xv))
+        r1 = abs(jz_x @ g_v @ (jzs @ xv) - p * z_zs * x_x)
+        r2 = abs(jz_x @ g_v @ (jz @ yv) - p * z_z * (xv @ g_v @ yv))
+        r3 = abs(np.sqrt(jz_x @ g_v @ jz_x)
+                 - np.sqrt(p) * np.sqrt(z_z) * np.sqrt(x_x))
+        r4 = np.abs(jz @ jzs + jzs @ jz + 2.0 * p * z_zs * eye_v).max()
+        br = _bracket(spec, full(v_idx, xv), full(v_idx, jz_x))
         r5 = np.abs(br - p * x_x * z).max()
 
         for name, r in zip(names, (r1, r2, r3, r4, r5)):

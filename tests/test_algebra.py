@@ -118,6 +118,12 @@ def test_metric_state_validation():
         MetricState(g=np.array([[1.0, 0.1], [0.1, 1.0]]), diagonal_flag=True)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
+def test_metric_state_rejects_bad_flow_time(t):
+    with pytest.raises(InvalidParameterError):
+        MetricState.from_diag([1.0, 1.0, 1.0], t=t)
+
+
 def test_metric_state_diagonal_fast_path():
     m = MetricState.from_diag([1.0, 2.0, 4.0])
     assert m.diagonal_flag

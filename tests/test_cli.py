@@ -169,6 +169,16 @@ def test_spectrum_flowed(tmp_path):
     assert z_norm == pytest.approx(math.sqrt(9.0 ** (-1 / 4)), rel=1e-12)
 
 
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_spectrum_non_finite_t_exit_2(t, tmp_path, capsys):
+    out = tmp_path / "spec.json"
+    assert run(["spectrum", "--family", "heisenberg", "--n", "1", f"--t={t}",
+                "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "LinAlgError" not in err
+    assert not out.exists()
+
+
 # --- sweep ---------------------------------------------------------------
 
 def test_sweep(tmp_path, monkeypatch):

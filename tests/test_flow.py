@@ -303,7 +303,24 @@ def test_closed_form_out_of_domain():
         closed_form(Family.HEISENBERG, np.ones(3), 1, 4.0, 10.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_closed_form_coeffs_rejects_non_finite_g0(bad):
+    with pytest.raises(InvalidParameterError):
+        closed_form_coeffs(Family.HEISENBERG, [1.0, 1.0, bad], 1, 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_closed_form_rejects_non_finite_t(bad):
+    with pytest.raises(InvalidParameterError):
+        closed_form(Family.QUATERNION, np.ones(7), 1, 0.0, bad)
+
+
 # --- conserved quantities ------------------------------------------------
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_conserved_rejects_non_finite_metric(bad):
+    with pytest.raises(InvalidParameterError):
+        conserved_quantities(Family.HEISENBERG, 1, 0.0, [1.0, bad, 1.0])
 
 def test_conserved_identity_values():
     q = conserved_quantities(Family.HEISENBERG, 1, 0.0, np.ones(3))

@@ -2,15 +2,17 @@
 
 The digests were recorded at commit 94f99e5 ("Scale the curvature engine with
 dimension; harden CLI output"), before the diagonal right-hand side became one
-cached kernel per (family, n), with numpy 2.4.6 on x86-64.  Each case runs one
+cached kernel per (family, n), with numpy 2.4.6 on x86-64; the spectrum digests
+at commit 87850d4, as noted at their cases.  Each case runs one
 CLI command in an empty directory, with relative paths so the bytes do not
 depend on where it runs, and hashes every file it writes.
 
 The flow outputs are elementwise IEEE arithmetic and fixed-order sums, so
-they should not change with the machine.  The verify and curvature values go
-through BLAS and LAPACK, whose last bits can change with the numpy build; if
-only those cases fail after an environment change, record the digests again
-at the reference commit before reading the failure as a regression.
+they should not change with the machine.  The verify, curvature and spectrum
+values go through BLAS and LAPACK, whose last bits can change with the numpy
+build; if only those cases fail after an environment change, record the
+digests again at the reference commit before reading the failure as a
+regression.
 """
 import hashlib
 
@@ -58,6 +60,15 @@ CASES = {
                   "--output", "verify.json"],
     "verify-Q1": ["verify", "--family", "quaternion", "--n", "1", "--rho", "0", "--seed", "7",
                   "--output", "verify.json"],
+    # recorded at commit 87850d4 ("Diagonal RK4 hot path: one cached curvature kernel
+    # per (family, n)"), before the j(Z) layer was vectorised
+    "spectrum-H4": ["spectrum", "--family", "heisenberg", "--n", "4", "--t", "0.5", "--rho=-0.25",
+                    "--seed", "3", "--output", "spectrum.json"],
+    "spectrum-Q3": ["spectrum", "--family", "quaternion", "--n", "3", "--t", "1", "--seed", "5",
+                    "--output", "spectrum.json"],
+    # two eigenvalue clusters (mu = 2): p_factor_observed is null
+    "spectrum-H2-mu2": ["spectrum", "--family", "heisenberg", "--n", "2", "--g0", "1,2,1,1,1",
+                        "--output", "spectrum.json"],
     "curvature-H3": ["curvature", "--family", "heisenberg", "--n", "3", "--g0", seeded_g0(7),
                      "--output", "curvature.json"],
     "curvature-Q2": ["curvature", "--family", "quaternion", "--n", "2", "--g0", seeded_g0(11),
@@ -89,6 +100,9 @@ DIGESTS = {
     "flow-Q9-rho-0.25-seeded": "b2b172691f7d0dc4e6ed19b36515e034fc45286411dfc726d907807d1394bfd0",
     "flow-Q9-rho0-identity": "61b37a1fa6e95de66c1adb80e839679257eb0a6b5d83b804d0813371a6213664",
     "flow-Q9-rho0-seeded": "cbe4e99fa056104bba77a213c0a5047bc0416dbbfc8dc479732c0f3abb5df0f7",
+    "spectrum-H2-mu2": "9813fb04ad75996f7d5d3e3b2c13705474ae969f454a00284be36020684439ca",
+    "spectrum-H4": "170ab655dd07d2fe7ed4fd5400a7ec6726f8a9bce3b78d36a7f28243cd5e082f",
+    "spectrum-Q3": "86c2f25d97e9c5ecf7e04b1741511b867355ea995d420a469d416c43fc7ca84e",
     "sweep-Q1": "b631d24fb2f439910fd3844e243fdbc7443ce04b4bd41f7f2af732721d550aa0",
     "verify-H2": "3127ed768c4a0cfb31d1896c312e0704c75e082bccc94ed283010eb5f5589182",
     "verify-Q1": "58f4362a34fc2231535468ed313f21208d09fe323bf7f24018dfd911a8de0440",

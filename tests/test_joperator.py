@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nilflow import joperator
 from nilflow import (
     Family,
     InvalidParameterError,
     MetricState,
     OutOfDomainError,
     Verdict,
+    bracket,
     build_group,
     classify,
     closed_form,
@@ -61,6 +65,17 @@ def test_j_matrix_defining_relation_and_skewness():
         # skew with respect to the metric
         gj = g_v @ j
         assert np.abs(gj + gj.T).max() < 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_j_matrix_and_spectrum_reject_non_finite_z(bad):
+    z = np.array([0.0, 0.0, 0.0, 0.0, bad])
+    spec = build_group(Family.HEISENBERG, 2)
+    metric = MetricState.from_diag(np.ones(5))
+    with pytest.raises(InvalidParameterError):
+        j_matrix(spec, metric, z)
+    with pytest.raises(InvalidParameterError):
+        spectrum(spec, metric, z)
 
 
 def test_j_matrix_linear_in_z():
@@ -144,6 +159,12 @@ def test_theoretical_p_factor_values():
     assert theoretical_p_factor(Family.HEISENBERG, 2, 0.5, 1.0) == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("rho,t", [(0.0, np.nan), (0.0, np.inf), (np.nan, 1.0)])
+def test_theoretical_p_factor_rejects_non_finite(rho, t):
+    with pytest.raises(InvalidParameterError):
+        theoretical_p_factor(Family.HEISENBERG, 1, rho, t)
+
+
 def test_theoretical_p_factor_out_of_domain():
     with pytest.raises(OutOfDomainError):
         theoretical_p_factor(Family.HEISENBERG, 1, 4.0, 1.0)
@@ -172,3 +193,89 @@ def test_p8_identities_along_flow():
 def test_p8_fails_for_wrong_p():
     report = verify_p8(H1, ID3, 0.5)
     assert report["max_residual"] > 1e-2
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_p8_rejects_fewer_than_one_sample(samples):
+    with pytest.raises(InvalidParameterError):
+        verify_p8(H1, ID3, 1.0, samples=samples)
+
+
+# --- the vectorised j(Z) layer against its loop references -----------------
+
+def j_matrix_loop(spec, metric, z):
+    """j(Z) with one dot per complement pair, as the layer computed it before."""
+    v_idx = list(spec.complement_indices)
+    gz = metric.g @ z
+    b = np.zeros((len(v_idx), len(v_idx)))
+    for a, i in enumerate(v_idx):
+        for c, j in enumerate(v_idx):
+            b[a, c] = gz @ spec.structure_dense[i, j]
+    return np.linalg.solve(metric.g[np.ix_(v_idx, v_idx)], b.T)
+
+
+def bracket_loop(spec, x, y):
+    out = np.zeros(spec.dim)
+    for i, j, k, v in spec.structure:
+        out[k] += v * (x[i] * y[j] - x[j] * y[i])
+    return out
+
+
+@st.composite
+def j_cases(draw):
+    spec = build_group(draw(st.sampled_from(list(Family))), draw(st.integers(1, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        metric = MetricState.from_diag(rng.uniform(0.3, 3.0, spec.dim))
+    else:
+        metric = random_spd_metric(spec.dim, rng)
+    z = np.zeros(spec.dim)
+    z[list(spec.center_indices)] = rng.standard_normal(spec.dim_z)
+    return spec, metric, z, rng.standard_normal((2, spec.dim))
+
+
+@settings(max_examples=120, deadline=None)
+@given(j_cases())
+def test_j_layer_is_bitwise_its_loop_reference(case):
+    spec, metric, z, (x, y) = case
+    j = j_matrix(spec, metric, z)
+    assert np.array_equal(j, j_matrix_loop(spec, metric, z))
+    assert np.array_equal(bracket(spec, x, y), bracket_loop(spec, x, y))
+    # <j(Z)X, Y> = <Z, [X, Y]> for X, Y in V
+    v_idx = list(spec.complement_indices)
+    xv, yv = np.zeros(spec.dim), np.zeros(spec.dim)
+    xv[v_idx], yv[v_idx] = x[v_idx], y[v_idx]
+    lhs = (j @ x[v_idx]) @ metric.g[np.ix_(v_idx, v_idx)] @ y[v_idx]
+    rhs = z @ metric.g @ bracket(spec, xv, yv)
+    assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(joperator, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(joperator, name, counted)
+    return calls
+
+
+def test_spectrum_builds_j_once(monkeypatch):
+    # a HeisenbergLike direction, so the eigenspace check runs too
+    spec = build_group(Family.HEISENBERG, 2)
+    metric = MetricState.from_diag([1.0, 2.0, 1.0, 1.0, 1.0])
+    calls = count_calls(monkeypatch, "_j_matrix")
+    assert spectrum(spec, metric, np.eye(5)[4]).verdict is Verdict.HEISENBERG_LIKE
+    assert len(calls) == 1
+
+
+def test_classify_takes_one_metric_root(monkeypatch):
+    spec = build_group(Family.QUATERNION, 2)
+    metric = MetricState.from_diag(np.linspace(0.5, 2.0, spec.dim))
+    roots = count_calls(monkeypatch, "_metric_sqrt")
+    js = count_calls(monkeypatch, "_j_matrix")
+    classify(spec, metric)
+    assert len(roots) == 1
+    assert len(js) == spec.dim_z + joperator.N_RANDOM_CENTER_DIRECTIONS
