@@ -22,14 +22,11 @@ from .curvature import (
     CurvatureReport,
     adjoint_coeffs,
     christoffel,
-    christoffel_metric_components,
     curvature_report,
     literal_discrepancy,
     ricci_general,
-    ricci_specialized,
     ricci_specialized_diag,
     riemann,
-    riemann_bracket_formula,
     scalar_curvature,
     scalar_specialized,
     sigma_heisenberg,

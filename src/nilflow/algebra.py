@@ -111,6 +111,8 @@ class MetricState:
         object.__setattr__(self, "g", g)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise InvalidParameterError("metric must be a square matrix")
+        if not np.isfinite(g).all():
+            raise InvalidParameterError("metric has a non-finite entry")
         if not np.allclose(g, g.T, rtol=0.0, atol=1e-13 * max(1.0, np.abs(g).max())):
             raise InvalidParameterError("metric must be symmetric")
         if np.linalg.eigvalsh(g).min() <= EPS_POS:

@@ -18,28 +18,19 @@ import numpy as np
 
 from . import __version__
 from .algebra import Family, MetricState, build_group, family_dim
+from .checks import CHECKS, VerifyCase
 from .curvature import (
-    _scalar,
     curvature_report,
     literal_discrepancy,
-    ricci_general,
     ricci_specialized_diag,
     scalar_specialized,
     sigma_heisenberg,
     sigma_quaternion,
 )
 from .errors import NilflowError
-from .flow import (
-    FlowParams,
-    TerminationReason,
-    closed_form,
-    closed_form_coeffs,
-    conserved_quantities,
-    integrate,
-    rhs_diagonal,
-)
-from .joperator import classify, spectrum, theoretical_p_factor, verify_p8
-from .spectrum import central_periods, length_scaling_factors, length_spectrum_witness
+from .flow import FlowParams, TerminationReason, closed_form, integrate
+from .joperator import classify, spectrum, theoretical_p_factor
+from .spectrum import central_periods
 
 SCHEMA_VERSION = 1
 
@@ -278,87 +269,18 @@ def _cmd_spectrum(args, config) -> int:
 
 
 def _cmd_verify(args, config) -> int:
-    family = Family(args.family)
-    n = args.n
-    rho = float(args.rho)
-    dim = family_dim(family, n)
-    g0 = _parse_g0(args.g0, dim)
-    spec = build_group(family, n)
-    rng = np.random.default_rng(args.seed)
-    checks: list[tuple[str, bool, float]] = []
-
-    def add(name, tol, value):
-        checks.append((name, bool(value <= tol), float(value)))
-
-    # oracle equivalence on random diagonal metrics
-    dev = 0.0
-    for _ in range(25):
-        d = rng.uniform(0.5, 2.0, dim)
-        m = MetricState.from_diag(d)
-        ric = ricci_general(spec, m)
-        dev = max(dev, float(np.abs(np.diag(ric) - ricci_specialized_diag(family, d, n)).max()))
-        dev = max(dev, float(np.abs(ric - np.diag(np.diag(ric))).max()))
-        dev = max(dev, abs(_scalar(m, ric) - scalar_specialized(family, d, n)))
-    add("ricci_oracle_equivalence", 1e-12, dev)
-
-    # closed form vs integrator (identity initial data is always admissible)
-    ones = np.ones(dim)
-    params = FlowParams(family=family, n=n, rho=rho, dt=1e-3, t_end=2.0)
-    traj = integrate(params, ones)
-    err = max(
-        float(np.abs(traj.states[i] / closed_form(family, ones, n, rho, t) - 1.0).max())
-        for i, t in enumerate(traj.times)
-    )
-    add("closed_form_agreement", 1e-6, err)
-    add("invariant_drift", 1e-8, max(traj.invariant_ledger.values()))
-
-    # rho = 0 reduction is exact
-    red = float(np.abs(
-        rhs_diagonal(family, ones * 1.3, n, 0.0)
-        + 2.0 * ricci_specialized_diag(family, ones * 1.3, n)
-    ).max())
-    add("ricci_flow_reduction", 0.0, red)
-
-    # spectral degradation + p8 identities at a few times
-    spec_dev = 0.0
-    p8_dev = 0.0
-    for t in (0.0, 0.5, 1.0, 2.0):
-        g_t = closed_form(family, ones, n, rho, t)
-        m_t = MetricState.from_diag(g_t, t=t)
-        p_t = theoretical_p_factor(family, n, rho, t)
-        z = np.zeros(dim)
-        z[spec.center_indices[0]] = 1.0
-        rep = spectrum(spec, m_t, z)
-        z_norm2 = g_t[spec.center_indices[0]]
-        spec_dev = max(spec_dev, max(
-            abs(ev + p_t * z_norm2) / (p_t * z_norm2) for ev in rep.eigenvalues
-        ))
-        p8_dev = max(p8_dev, verify_p8(spec, m_t, p_t, samples=50,
-                                       seed=args.seed)["max_residual"])
-    add("spectral_degradation", 1e-9, spec_dev)
-    add("p8_identities", 1e-10, p8_dev)
-
-    # period examples and length-spectrum witness
-    pset = central_periods(4 * np.pi)
-    per_dev = max(
-        abs(sorted(pset.as_set)[0] - 2.0 * np.sqrt(3.0) * np.pi),
-        abs(sorted(pset.as_set)[1] - 4.0 * np.pi),
-        abs(central_periods(np.pi).as_set[0] - np.pi),
-    )
-    add("central_periods", 1e-12, per_dev)
-    wit_dev = 0.0
-    for t in (0.5, 1.0, 2.0):
-        v = rng.standard_normal(dim - len(spec.center_indices))
-        wit_dev = max(wit_dev, length_spectrum_witness(family, n, rho, ones, t, v)["abs_error"])
-    add("length_spectrum_witness", 1e-12, wit_dev)
-
-    failed = [c for c in checks if not c[1]]
-    result = {
-        "checks": [{"name": nm, "pass": ok, "value": v} for nm, ok, v in checks],
-        "all_pass": not failed,
-    }
+    if args.g0 != "identity":
+        raise NilflowError(f"verify checks metrics of its own: --g0 must be 'identity', "
+                           f"got {args.g0!r}")
+    case = VerifyCase(args.family, args.n, float(args.rho), args.seed)
+    checks = []
+    for name, tolerance, value_on in CHECKS:
+        value = float(value_on(case))
+        checks.append({"name": name, "pass": value <= tolerance, "value": value})
+    all_pass = all(c["pass"] for c in checks)
+    result = {"checks": checks, "all_pass": all_pass}
     _write(args.output, _json_dumps(_envelope(config, result)) + "\n")
-    return 0 if not failed else 1
+    return 0 if all_pass else 1
 
 
 _DISPATCH = {

@@ -65,21 +65,6 @@ def christoffel(spec: LieAlgebraSpec, metric: MetricState) -> ConnectionCoeffs:
     return ConnectionCoeffs(gamma=gamma, adjoint=a)
 
 
-def christoffel_metric_components(spec: LieAlgebraSpec, metric: MetricState) -> np.ndarray:
-    """Connection via gamma_ij^k = (1/2) g^kl (C_ij^m g_lm - C_il^m g_jm - C_jl^m g_im).
-
-    Independent route; agrees with :func:`christoffel` to machine precision.
-    """
-    c = spec.structure_dense
-    g, ginv = metric.g, metric.inverse
-    term = (
-        _einsum("ijm,lm->ijl", c, g)
-        - _einsum("ilm,jm->ijl", c, g)
-        - _einsum("jlm,im->ijl", c, g)
-    )
-    return 0.5 * _einsum("kl,ijl->ijk", ginv, term)
-
-
 def riemann(spec: LieAlgebraSpec, metric: MetricState) -> np.ndarray:
     """Lowered tensor R_ijkl = <R(e_i, e_j)e_k, e_l>.
 
@@ -93,28 +78,6 @@ def riemann(spec: LieAlgebraSpec, metric: MetricState) -> np.ndarray:
     t1 = _einsum("ikm,jlp,mp->ijkl", gamma, gamma, g)
     t3 = _einsum("ijm,mkp,pl->ijkl", c, gamma, g)
     return t1 - t1.transpose(1, 0, 2, 3) - t3
-
-
-def riemann_bracket_formula(spec: LieAlgebraSpec, metric: MetricState) -> np.ndarray:
-    """Cross-check: the all-brackets expansion of 4<R(X,Y)Z,W>."""
-    c = spec.structure_dense
-    g = metric.g
-    a = adjoint_coeffs(spec, metric)
-    u = -0.5 * (a + a.transpose(1, 0, 2))
-
-    # double brackets vanish on 2-step algebras; kept so the formula stays general
-    four_r = (
-        2.0 * _einsum("ijm,klp,mp->ijkl", c, c, g)  # 2<[X,Y],[Z,W]>
-        + _einsum("ikm,jlp,mp->ijkl", c, c, g)      # <[X,Z],[Y,W]>
-        - _einsum("ilm,jkp,mp->ijkl", c, c, g)      # <[X,W],[Y,Z]>
-        - _einsum("ijm,mkp,pl->ijkl", c, c, g)      # <[[X,Y],Z],W>
-        + _einsum("ijm,mlp,pk->ijkl", c, c, g)      # <[[X,Y],W],Z>
-        - _einsum("klm,mip,pj->ijkl", c, c, g)      # <[[Z,W],X],Y>
-        + _einsum("klm,mjp,pi->ijkl", c, c, g)      # <[[Z,W],Y],X>
-        + 4.0 * _einsum("ikm,jlp,mp->ijkl", u, u, g)
-        - 4.0 * _einsum("ilm,jkp,mp->ijkl", u, u, g)
-    )
-    return 0.25 * four_r
 
 
 def riemann_literal(spec: LieAlgebraSpec, metric: MetricState) -> np.ndarray:
@@ -301,10 +264,6 @@ def sigma_quaternion(metric_diag, n: int):
 def ricci_specialized_diag(family: Family, metric_diag, n: int) -> np.ndarray:
     """Diagonal Ricci entries from the closed-form expressions for H_n / Q_n."""
     return _diag_curvature(family, metric_diag, n)[0]
-
-
-def ricci_specialized(family: Family, metric_diag, n: int) -> np.ndarray:
-    return np.diag(ricci_specialized_diag(family, metric_diag, n))
 
 
 def scalar_specialized(family: Family, metric_diag, n: int) -> float:

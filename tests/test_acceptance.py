@@ -7,35 +7,40 @@ import math
 import warnings
 
 import numpy as np
-import pytest
 
 from nilflow import (
     Family,
     FlowParams,
-    MetricState,
     Verdict,
     build_group,
     center_growth_bound,
     central_periods,
     closed_form,
     integrate,
-    length_spectrum_witness,
-    rhs_diagonal,
-    ricci_general,
-    ricci_specialized_diag,
-    scalar_curvature,
-    scalar_specialized,
-    spectrum,
-    theoretical_p_factor,
-    verify_p8,
+)
+from nilflow.algebra import family_dim
+from nilflow.checks import (
+    EXACT_PERIODS,
+    TOLERANCE,
+    closed_form_error,
+    degradation_spectrum,
+    max_drift,
+    p8_residual,
+    period_deviation,
+    reduction_residual,
+    ricci_oracle_deviation,
+    spectral_deviation,
+    witness_error,
 )
 
 CASES = [(Family.HEISENBERG, n) for n in (1, 2, 3)] + \
         [(Family.QUATERNION, n) for n in (1, 2)]
+SPECS = [build_group(family, n) for family, n in CASES]
 
 
-def dim_of(family, n):
-    return 2 * n + 1 if family is Family.HEISENBERG else 4 * n + 3
+def worst_of(values):
+    # np.max, unlike max, keeps a nan
+    return float(np.max(list(values)))
 
 
 def report(number, name, ok, detail=""):
@@ -44,53 +49,28 @@ def report(number, name, ok, detail=""):
     assert ok, f"criterion {number} ({name}) failed: {detail}"
 
 
-def integrate_quiet(params, g0):
+def identity_flow(family, n, rho, t_end, dt=1e-3, record_every=10):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return integrate(params, g0)
-
-
-def flow_params_quiet(**kw):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return FlowParams(**kw)
+        warnings.simplefilter("ignore")  # rho above the existence threshold only warns
+        params = FlowParams(family=family, n=n, rho=rho, dt=dt, t_end=t_end,
+                            record_every=record_every)
+        return integrate(params, np.ones(family_dim(family, n)))
 
 
 def test_criterion_1_curvature_oracle_equivalence():
     rng = np.random.default_rng(100)
-    worst = 0.0
-    for family, n in CASES:
-        spec = build_group(family, n)
-        for _ in range(100):
-            d = rng.uniform(0.3, 3.0, spec.dim)
-            ric = ricci_general(spec, MetricState.from_diag(d))
-            scale = np.maximum(1.0, np.abs(ric))
-            dev = np.abs(ric - np.diag(ricci_specialized_diag(family, d, n))) / scale
-            worst = max(worst, float(dev.max()))
-            s_dev = abs(scalar_curvature(spec, MetricState.from_diag(d))
-                        - scalar_specialized(family, d, n))
-            worst = max(worst, s_dev / max(1.0, abs(scalar_specialized(family, d, n))))
-    report(1, "curvature oracle equivalence", worst < 1e-12, f"max dev {worst:.3e}")
+    worst = worst_of(ricci_oracle_deviation(spec, [rng.uniform(0.3, 3.0, spec.dim)
+                                                   for _ in range(100)]) for spec in SPECS)
+    report(1, "curvature oracle equivalence", worst < TOLERANCE["ricci_oracle_equivalence"],
+           f"max abs dev {worst:.3e}")
 
 
 def test_criterion_2_closed_form_agreement_and_rk4_order():
-    worst = 0.0
-    for family, n in CASES:
-        d = dim_of(family, n)
-        for rho in (-0.5, 0.0, 0.1):
-            params = flow_params_quiet(family=family, n=n, rho=rho, dt=1e-3, t_end=2.0)
-            traj = integrate_quiet(params, np.ones(d))
-            rel = max(
-                float(np.abs(traj.states[i] / closed_form(family, np.ones(d), n, rho, t)
-                             - 1.0).max())
-                for i, t in enumerate(traj.times)
-            )
-            worst = max(worst, rel)
+    worst = worst_of(closed_form_error(identity_flow(family, n, rho, 2.0))
+                     for family, n in CASES for rho in (-0.5, 0.0, 0.1))
 
     def maxerr(dt):
-        params = flow_params_quiet(family=Family.HEISENBERG, n=1, rho=0.0,
-                                   dt=dt, t_end=2.0, record_every=1)
-        traj = integrate_quiet(params, np.ones(3))
+        traj = identity_flow(Family.HEISENBERG, 1, 0.0, 2.0, dt=dt, record_every=1)
         return max(
             float(np.abs(traj.states[i]
                          - closed_form(Family.HEISENBERG, np.ones(3), 1, 0.0, t)).max())
@@ -98,95 +78,58 @@ def test_criterion_2_closed_form_agreement_and_rk4_order():
         )
 
     ratio = maxerr(0.05) / maxerr(0.025)
-    ok = worst < 1e-6 and 12.0 <= ratio <= 20.0
+    ok = worst < TOLERANCE["closed_form_agreement"] and 12.0 <= ratio <= 20.0
     report(2, "closed-form agreement + RK4 order", ok,
            f"max rel err {worst:.3e}, halving ratio {ratio:.2f}")
 
 
 def test_criterion_3_conserved_quantities_drift():
-    worst = 0.0
-    for family, n in CASES:
-        for rho in (-0.5, 0.0, 0.05):
-            params = flow_params_quiet(family=family, n=n, rho=rho, dt=1e-3, t_end=2.0)
-            traj = integrate_quiet(params, np.ones(dim_of(family, n)))
-            worst = max(worst, max(traj.invariant_ledger.values()))
-    report(3, "conserved-quantity drift", worst < 1e-8, f"max drift {worst:.3e}")
+    worst = worst_of(max_drift(identity_flow(family, n, rho, 2.0))
+                     for family, n in CASES for rho in (-0.5, 0.0, 0.05))
+    report(3, "conserved-quantity drift", worst < TOLERANCE["invariant_drift"],
+           f"max drift {worst:.3e}")
 
 
 def test_criterion_4_spectral_degradation():
-    worst = 0.0
-    verdicts_ok = True
-    for family, n in CASES:
-        spec = build_group(family, n)
-        for t in (0.0, 0.5, 1.0, 2.0):
-            g_t = closed_form(family, np.ones(spec.dim), n, 0.0, t)
-            m_t = MetricState.from_diag(g_t, t=t)
-            p_t = theoretical_p_factor(family, n, 0.0, t)
-            z = np.zeros(spec.dim)
-            z[spec.center_indices[0]] = 1.0
-            rep = spectrum(spec, m_t, z)
-            z_norm2 = g_t[spec.center_indices[0]]
-            worst = max(worst, max(
-                abs(ev + p_t * z_norm2) / (p_t * z_norm2) for ev in rep.eigenvalues))
-            expected = Verdict.HEISENBERG_TYPE if t == 0.0 else Verdict.HEISENBERG_LIKE
-            verdicts_ok = verdicts_ok and rep.verdict is expected
-    ok = worst < 1e-9 and verdicts_ok
+    times = (0.0, 0.5, 1.0, 2.0)
+    worst = worst_of(spectral_deviation(spec, 0.0, times) for spec in SPECS)
+    verdicts_ok = all(
+        degradation_spectrum(spec, 0.0, t)[0].verdict
+        is (Verdict.HEISENBERG_TYPE if t == 0.0 else Verdict.HEISENBERG_LIKE)
+        for spec in SPECS for t in times)
+    ok = worst < TOLERANCE["spectral_degradation"] and verdicts_ok
     report(4, "spectral degradation factor", ok,
            f"max rel dev {worst:.3e}, verdicts {'ok' if verdicts_ok else 'wrong'}")
 
 
 def test_criterion_5_p_factor_identities():
-    worst = 0.0
-    for family, n in CASES:
-        spec = build_group(family, n)
-        for t in (0.0, 1.0):
-            g_t = closed_form(family, np.ones(spec.dim), n, 0.0, t)
-            p_t = theoretical_p_factor(family, n, 0.0, t)
-            out = verify_p8(spec, MetricState.from_diag(g_t, t=t), p_t,
-                            samples=200, seed=5)
-            worst = max(worst, out["max_residual"])
-    report(5, "P-factor identities", worst < 1e-10, f"max residual {worst:.3e}")
+    worst = worst_of(p8_residual(spec, 0.0, (0.0, 1.0), samples=200, seed=5) for spec in SPECS)
+    report(5, "P-factor identities", worst < TOLERANCE["p8_identities"],
+           f"max residual {worst:.3e}")
 
 
 def test_criterion_6_central_period_sets():
-    dev = 0.0
-    s1 = central_periods(math.pi).as_set
-    dev = max(dev, abs(s1[0] - math.pi)) if len(s1) == 1 else math.inf
-    s2 = central_periods(2 * math.pi).as_set
-    dev = max(dev, abs(s2[0] - 2 * math.pi)) if len(s2) == 1 else math.inf
-    s3 = central_periods(4 * math.pi).as_set
-    if len(s3) == 2:
-        dev = max(dev, abs(s3[0] - 2 * math.sqrt(3.0) * math.pi),
-                  abs(s3[1] - 4 * math.pi))
-    else:
-        dev = math.inf
-    report(6, "central period sets", dev < 1e-12, f"max dev {dev:.3e}")
+    z_norms = (math.pi, 2 * math.pi, 4 * math.pi)
+    dev = period_deviation(z_norms)
+    sizes_ok = all(len(central_periods(z).as_set) == len(EXACT_PERIODS[z]) for z in z_norms)
+    report(6, "central period sets", sizes_ok and dev < TOLERANCE["central_periods"],
+           f"max dev {dev:.3e}, set sizes {'ok' if sizes_ok else 'wrong'}")
 
 
 def test_criterion_7_length_spectrum_witness():
     rng = np.random.default_rng(7)
-    worst = 0.0
-    for family, n in ((Family.HEISENBERG, 1), (Family.QUATERNION, 1)):
-        d = dim_of(family, n)
-        n_center = 1 if family is Family.HEISENBERG else 3
-        for rho in (-0.5, 0.0):
-            for t in (0.5, 1.0, 2.0):
-                for _ in range(50):
-                    v = rng.standard_normal(d - n_center)
-                    out = length_spectrum_witness(family, n, rho, np.ones(d), t, v)
-                    worst = max(worst, out["abs_error"])
-    report(7, "length-spectrum witness", worst < 1e-12, f"max abs err {worst:.3e}")
+    worst = worst_of(witness_error(build_group(family, 1), rho, (0.5, 1.0, 2.0), rng, samples=50)
+                     for family in (Family.HEISENBERG, Family.QUATERNION) for rho in (-0.5, 0.0))
+    report(7, "length-spectrum witness", worst < TOLERANCE["length_spectrum_witness"],
+           f"max abs err {worst:.3e}")
 
 
 def test_criterion_8_ricci_flow_reduction():
     rng = np.random.default_rng(8)
-    exact = True
-    for family, n in CASES:
-        for _ in range(20):
-            d = rng.uniform(0.3, 3.0, dim_of(family, n))
-            rhs = rhs_diagonal(family, d, n, 0.0)
-            exact = exact and bool(np.all(rhs == -2.0 * ricci_specialized_diag(family, d, n)))
-    report(8, "rho = 0 reduces to Ricci flow bitwise", exact)
+    worst = worst_of(reduction_residual(spec, [rng.uniform(0.3, 3.0, spec.dim)
+                                               for _ in range(20)]) for spec in SPECS)
+    report(8, "rho = 0 reduces to Ricci flow bitwise",
+           worst == TOLERANCE["ricci_flow_reduction"], f"max residual {worst:.3e}")
 
 
 def test_criterion_9_center_growth_bound():
@@ -194,9 +137,7 @@ def test_criterion_9_center_growth_bound():
     mono = True
     for family, n in ((Family.HEISENBERG, 1), (Family.HEISENBERG, 2),
                       (Family.QUATERNION, 1)):
-        params = flow_params_quiet(family=family, n=n, rho=-0.5, dt=1e-3, t_end=5.0)
-        traj = integrate_quiet(params, np.ones(dim_of(family, n)))
-        rep = center_growth_bound(family, n, traj)
+        rep = center_growth_bound(family, n, identity_flow(family, n, -0.5, 5.0))
         worst = min(worst, rep["min_slack"])
         mono = mono and rep["integral_monotone"]
     ok = worst >= -1e-12 and mono

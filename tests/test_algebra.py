@@ -124,6 +124,17 @@ def test_metric_state_rejects_bad_flow_time(t):
         MetricState.from_diag([1.0, 1.0, 1.0], t=t)
 
 
+@pytest.mark.filterwarnings("error")  # rejected before numpy can warn or raise
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("build", [
+    lambda bad: MetricState.from_diag([1.0, bad, 1.0]),
+    lambda bad: MetricState(g=np.array([[2.0, bad, 0.0], [bad, 2.0, 0.0], [0.0, 0.0, 2.0]])),
+], ids=["from_diag", "full"])
+def test_metric_state_rejects_non_finite_entries(build, bad):
+    with pytest.raises(InvalidParameterError, match="non-finite"):
+        build(bad)
+
+
 def test_metric_state_diagonal_fast_path():
     m = MetricState.from_diag([1.0, 2.0, 4.0])
     assert m.diagonal_flag

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import nilflow.checks as checks_module
 from nilflow import Family, Trajectory, closed_form
 from nilflow.cli import _json_dumps, main
 
@@ -140,6 +141,29 @@ def test_verify_passes(tmp_path, family, n):
         "central_periods", "length_spectrum_witness",
     }
     assert all(c["pass"] for c in doc["result"]["checks"])
+
+
+def test_verify_rejects_a_metric_exit_2(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--family", "heisenberg", "--n", "2", "--g0", "1,2,3,4,5",
+                "--output", str(out)]) == 2
+    assert "--g0 must be 'identity'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("route,failing", [
+    ("ricci_specialized_diag", {"ricci_oracle_equivalence", "ricci_flow_reduction"}),
+    ("scalar_specialized", {"ricci_oracle_equivalence"}),
+])
+def test_verify_fails_exactly_the_checks_of_a_perturbed_route(tmp_path, monkeypatch,
+                                                              route, failing):
+    original = getattr(checks_module, route)
+    monkeypatch.setattr(checks_module, route, lambda *a: original(*a) * (1.0 + 1e-9))
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--family", "heisenberg", "--n", "2", "--output", str(out)]) == 1
+    result = read_json(out)["result"]
+    assert result["all_pass"] is False
+    assert {c["name"] for c in result["checks"] if not c["pass"]} == failing
 
 
 # --- spectrum ------------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,10 +27,8 @@ from nilflow import (
     ricci_specialized_diag,
     scalar_specialized,
 )
-
-
-def dim_of(family, n):
-    return 2 * n + 1 if family is Family.HEISENBERG else 4 * n + 3
+from nilflow.algebra import family_dim
+from nilflow.checks import TOLERANCE, closed_form_error
 
 
 # --- right-hand sides ----------------------------------------------------
@@ -51,7 +51,7 @@ def test_rhs_diagonal_matches_general():
     rng = np.random.default_rng(0)
     for family, n in ((Family.HEISENBERG, 2), (Family.QUATERNION, 1)):
         spec = build_group(family, n)
-        d = rng.uniform(0.5, 2.0, dim_of(family, n))
+        d = rng.uniform(0.5, 2.0, family_dim(family, n))
         general = np.diag(rb_rhs_general(spec, MetricState.from_diag(d), 0.07))
         assert np.abs(general - rhs_diagonal(family, d, n, 0.07)).max() < 1e-12
 
@@ -59,7 +59,7 @@ def test_rhs_diagonal_matches_general():
 def test_rho_zero_reduction_is_bitwise():
     rng = np.random.default_rng(1)
     for family, n in ((Family.HEISENBERG, 3), (Family.QUATERNION, 2)):
-        d = rng.uniform(0.5, 2.0, dim_of(family, n))
+        d = rng.uniform(0.5, 2.0, family_dim(family, n))
         rhs = rhs_diagonal(family, d, n, 0.0)
         assert np.all(rhs == -2.0 * ricci_specialized_diag(family, d, n))
 
@@ -108,7 +108,7 @@ def slice_formulas(family, g, n):
 def diagonal_cases(draw):
     family = draw(st.sampled_from(list(Family)))
     n = draw(st.integers(1, 12))
-    d = dim_of(family, n)
+    d = family_dim(family, n)
     g = np.array(draw(st.lists(st.floats(0.3, 3.0), min_size=d, max_size=d)))
     return family, n, g, draw(st.floats(-1.0, 0.1))
 
@@ -200,52 +200,16 @@ def test_times_increasing_and_states_positive():
 @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.1])
 def test_analytic_agreement(family, ns, rho):
     for n in ns:
-        d = dim_of(family, n)
         params = FlowParams(family, n, rho=rho, dt=1e-3, t_end=2.0)
-        with np.errstate(all="raise"), _no_warnings():
-            traj = integrate(params, np.ones(d))
-        rel = max(
-            np.abs(traj.states[i] / closed_form(family, np.ones(d), n, rho, t) - 1.0).max()
-            for i, t in enumerate(traj.times)
-        )
-        assert rel < 1e-6
-
-
-def _no_warnings():
-    import warnings
-
-    ctx = warnings.catch_warnings()
-    ctx.__enter__()
-    warnings.simplefilter("ignore")
-
-    class _W:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *a):
-            ctx.__exit__(*a)
-            return False
-
-    return _W()
-
-
-def test_rk4_order():
-    def maxerr(dt):
-        params = FlowParams(Family.HEISENBERG, 1, rho=0.0, dt=dt, t_end=2.0,
-                            record_every=1)
-        traj = integrate(params, np.ones(3))
-        return max(
-            np.abs(traj.states[i] - closed_form(Family.HEISENBERG, np.ones(3), 1, 0.0, t)).max()
-            for i, t in enumerate(traj.times)
-        )
-
-    ratio = maxerr(0.05) / maxerr(0.025)
-    assert 12.0 <= ratio <= 20.0
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            traj = integrate(params, np.ones(family_dim(family, n)))
+        assert closed_form_error(traj) < TOLERANCE["closed_form_agreement"]
 
 
 def test_monotone_noncenter_for_negative_rho():
     for family, n in ((Family.HEISENBERG, 2), (Family.QUATERNION, 1)):
-        d = dim_of(family, n)
+        d = family_dim(family, n)
         n_center = 1 if family is Family.HEISENBERG else 3
         params = FlowParams(family, n, rho=-0.3, dt=1e-2, t_end=2.0)
         g0 = np.linspace(1.0, 1.5, d)
@@ -360,7 +324,7 @@ def test_ratio_conserved_for_arbitrary_diagonal_g0():
 def test_invariant_drift_small_along_numeric_trajectories():
     for family, n in ((Family.HEISENBERG, 2), (Family.QUATERNION, 1)):
         params = FlowParams(family, n, rho=-0.4, dt=1e-3, t_end=2.0)
-        traj = integrate(params, np.ones(dim_of(family, n)))
+        traj = integrate(params, np.ones(family_dim(family, n)))
         assert max(traj.invariant_ledger.values()) < 1e-8
 
 

@@ -19,6 +19,7 @@ from nilflow import (
     theoretical_p_factor,
     verify_p8,
 )
+from nilflow.checks import degradation_spectrum, p8_residual
 
 H1 = build_group(Family.HEISENBERG, 1)
 Q1 = build_group(Family.QUATERNION, 1)
@@ -120,15 +121,9 @@ def test_spectrum_rejects_zero_z():
     (Family.QUATERNION, 1, 1.0 / 9.0),
 ])
 def test_spectrum_degradation_along_flow(family, n, expected_p):
-    spec = build_group(family, n)
-    g1 = closed_form(family, np.ones(spec.dim), n, 0.0, 1.0)
-    m1 = MetricState.from_diag(g1, t=1.0)
-    z = np.zeros(spec.dim)
-    z[spec.center_indices[0]] = 1.0
-    rep = spectrum(spec, m1, z)
+    rep, _, z_norm2 = degradation_spectrum(build_group(family, n), 0.0, 1.0)
     assert rep.mu == 1
     # theta^2 = p |Z|_t^2 with |Z|_t^2 = g_center(1)
-    z_norm2 = g1[spec.center_indices[0]]
     assert rep.thetas[0] ** 2 == pytest.approx(expected_p * z_norm2, rel=1e-12)
     assert rep.p_factor_observed == pytest.approx(expected_p, rel=1e-12)
 
@@ -182,12 +177,9 @@ def test_p8_identities_identity_metric():
 
 def test_p8_identities_along_flow():
     for family, n in ((Family.HEISENBERG, 2), (Family.QUATERNION, 1)):
-        spec = build_group(family, n)
-        for t in (0.5, 2.0):
-            g_t = closed_form(family, np.ones(spec.dim), n, -0.25, t)
-            p_t = theoretical_p_factor(family, n, -0.25, t)
-            report = verify_p8(spec, MetricState.from_diag(g_t, t=t), p_t)
-            assert report["max_residual"] < 1e-10
+        # verify_p8's default samples and seed
+        residual = p8_residual(build_group(family, n), -0.25, (0.5, 2.0), samples=200, seed=0)
+        assert residual < 1e-10
 
 
 def test_p8_fails_for_wrong_p():
