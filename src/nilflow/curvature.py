@@ -27,10 +27,8 @@ class ConnectionCoeffs:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    riemann: np.ndarray
     ricci: np.ndarray
     scalar: float
-    sigma: float | None = None
 
 
 @functools.lru_cache(maxsize=1024)
@@ -52,6 +50,79 @@ def _einsum(subscripts: str, *ops: np.ndarray) -> np.ndarray:
     return np.einsum(subscripts, *ops, optimize=_path(subscripts, tuple(op.shape for op in ops)))
 
 
+# The d^4 tensors are built in blocks of rows of their first index, each about
+# this many bytes, so the literal-formula report holds O(d^3) memory.  A tensor
+# that fits in one block (d <= 19) is contracted whole.  Smaller blocks mean
+# more and smaller matrix products, which cost more per flop: 512 KB blocks
+# made the curvature_ladder benchmark's pass about 40% slower (2-core x86 VM).
+_BLOCK_BYTES = 1 << 20
+
+
+@functools.lru_cache(maxsize=1024)
+def _stages(subscripts: str, shapes: tuple) -> tuple:
+    """The pairwise steps of ``_einsum(subscripts, ...)`` at these shapes, as (positions, subscripts).
+
+    Each step pops the operands at ``positions`` from the operand list, in that
+    order, and appends their contraction.
+    """
+    dummies = [np.broadcast_to(0.0, shape) for shape in shapes]
+    steps = np.einsum_path(subscripts, *dummies, optimize="optimal", einsum_call=True)[1]
+    # numpy >= 2.3 lists (positions, subscripts, ...); older versions put the
+    # removed indices between them
+    return tuple((step[0], step[1] if isinstance(step[1], str) else step[2]) for step in steps)
+
+
+def _pairwise(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The step np.einsum makes for ``subscripts`` on (a, b).
+
+    With the explicit path (0, 1), np.einsum pops its second operand first,
+    so the pair goes in swapped to arrive as (a, b).
+    """
+    inputs, output = subscripts.split("->")
+    left, right = inputs.split(",")
+    return np.einsum(f"{right},{left}->{output}", b, a, optimize=["einsum_path", (0, 1)])
+
+
+def _row_contraction(subscripts: str, *ops: np.ndarray):
+    """``rows(index, block)``: the rows ``block`` of output ``index`` of ``_einsum(subscripts, *ops)``.
+
+    ``block=None`` is the whole contraction, made by ``_einsum`` itself.  Otherwise
+    the full-shape path is kept: its first pairwise step runs once, on the full
+    operands, and only the last step sees sliced operands.  Each element then
+    goes through the same float operations as in the whole contraction, so the
+    blocks are bitwise its rows; a path searched for the sliced shapes can
+    order the sums differently.
+    """
+    last = None
+
+    def rows(index: str, block: slice | None) -> np.ndarray:
+        nonlocal last
+        if block is None:
+            return _einsum(subscripts, *ops)
+        if last is None:
+            operands = list(ops)
+            (first, step), (final, final_step) = _stages(subscripts,
+                                                         tuple(op.shape for op in ops))
+            operands.append(_pairwise(step, *[operands.pop(x) for x in first]))
+            last = final_step, [operands.pop(x) for x in final]
+        step, operands = last
+        sliced = [op[(slice(None),) * term.index(index) + (block,)] if index in term else op
+                  for term, op in zip(step.split("->")[0].split(","), operands)]
+        return _pairwise(step, *sliced)
+
+    return rows
+
+
+def _blocks(lo: int, hi: int, size: int) -> list:
+    return [slice(i, min(i + size, hi)) for i in range(lo, hi, size)]
+
+
+def _row_blocks(dim: int) -> list:
+    """Slices of the first index, each of about _BLOCK_BYTES of a d^4 tensor; [None] if one fits."""
+    size = max(1, _BLOCK_BYTES // (8 * dim**3))
+    return [None] if size >= dim else _blocks(0, dim, size)
+
+
 def adjoint_coeffs(spec: LieAlgebraSpec, metric: MetricState) -> np.ndarray:
     """a[i, j, k] with (ad e_i)* e_j = a_ij^k e_k, i.e. a_ij^k = C_il^m g_jm g^kl."""
     c = spec.structure_dense
@@ -65,19 +136,75 @@ def christoffel(spec: LieAlgebraSpec, metric: MetricState) -> ConnectionCoeffs:
     return ConnectionCoeffs(gamma=gamma, adjoint=a)
 
 
+def _riemann_rows(spec: LieAlgebraSpec, metric: MetricState, gamma: np.ndarray):
+    """``rows(block)``: rows ``block`` of the first index of :func:`riemann` (None: all)."""
+    c = spec.structure_dense
+    g = metric.g
+    t1 = _row_contraction("ikm,jlp,mp->ijkl", gamma, gamma, g)
+    t3 = _row_contraction("ijm,mkp,pl->ijkl", c, gamma, g)
+
+    def rows(block: slice | None = None) -> np.ndarray:
+        if block is None:  # t1 once, and its transpose
+            t = t1("i", None)
+            r = t - t.transpose(1, 0, 2, 3)
+        else:
+            r = t1("i", block)
+            r -= t1("j", block).transpose(1, 0, 2, 3)
+        r -= t3("i", block)
+        return r
+
+    return rows
+
+
 def riemann(spec: LieAlgebraSpec, metric: MetricState) -> np.ndarray:
     """Lowered tensor R_ijkl = <R(e_i, e_j)e_k, e_l>.
 
     Computed from <R(X,Y)Z,W> = <nabla_X Z, nabla_Y W> - <nabla_Y Z, nabla_X W>
     - <nabla_[X,Y] Z, W>, which for left-invariant fields is the curvature of
-    the connection commutator.
+    the connection commutator: R = t1 - t1^T - t3.
     """
-    gamma = christoffel(spec, metric).gamma
-    c = spec.structure_dense
-    g = metric.g
-    t1 = _einsum("ikm,jlp,mp->ijkl", gamma, gamma, g)
-    t3 = _einsum("ijm,mkp,pl->ijkl", c, gamma, g)
-    return t1 - t1.transpose(1, 0, 2, 3) - t3
+    return _riemann_rows(spec, metric, christoffel(spec, metric).gamma)()
+
+
+# The printed formula for 4 R_ijkl, summed term by term in its order.  Its first
+# three terms are the one product C_ijp g_pq C_klq with permuted indices, and
+# its last two a product of S, so each product is contracted once.  Rows of
+# (product subscripts summed over (x, x, g), x, uses); a use is (sign, axes of
+# the term in the product).  The fifth term repeats an index three times and is
+# summed as written.
+_LITERAL_RIEMANN = (
+    ("ijp,klq,pq->ijkl", "c", ((2.0, None), (1.0, (0, 2, 1, 3)), (-1.0, (0, 2, 3, 1)))),
+    ("ijp,pkq,ql->ijkl", "c", ((-1.0, None),)),
+    ("ijp,plq,pk->ijkl", "c", ((1.0, None),)),
+    ("klp,piq,qj->ijkl", "c", ((-1.0, None),)),
+    ("klp,pjq,qi->ijkl", "c", ((1.0, None),)),
+    ("ikp,jlq,pq->ijkl", "s", ((1.0, None), (-1.0, (0, 1, 3, 2)))),
+)
+
+
+def _literal_rows(spec: LieAlgebraSpec, metric: MetricState, adjoint: np.ndarray):
+    """``rows(block)``: rows ``block`` of the first index of :func:`riemann_literal` (None: all)."""
+    x = {"c": spec.structure_dense, "s": adjoint + adjoint.transpose(1, 0, 2)}
+    products = [(_row_contraction(subscripts, x[name], x[name], metric.g), uses)
+                for subscripts, name, uses in _LITERAL_RIEMANN]
+
+    def rows(block: slice | None = None) -> np.ndarray:
+        four_r = None
+        for product, uses in products:
+            p = product("i", block)
+            for sign, axes in uses:
+                term = p if axes is None else p.transpose(axes)
+                if four_r is None:
+                    four_r = sign * term
+                elif sign > 0:
+                    four_r += term
+                else:
+                    four_r -= term
+            del p, term  # freed before the next product: at most two blocks are live
+        four_r *= 0.25
+        return four_r
+
+    return rows
 
 
 def riemann_literal(spec: LieAlgebraSpec, metric: MetricState) -> np.ndarray:
@@ -86,22 +213,7 @@ def riemann_literal(spec: LieAlgebraSpec, metric: MetricState) -> np.ndarray:
     One printed term repeats an index three times; it is summed as written.
     Report-only: compare against :func:`riemann`.
     """
-    c = spec.structure_dense
-    g = metric.g
-    a = adjoint_coeffs(spec, metric)
-    s = a + a.transpose(1, 0, 2)
-    four_r = (
-        2.0 * _einsum("ijp,klq,pq->ijkl", c, c, g)
-        + _einsum("ikp,jlq,pq->ijkl", c, c, g)
-        - _einsum("ilp,jkq,pq->ijkl", c, c, g)
-        - _einsum("ijp,pkq,ql->ijkl", c, c, g)
-        + _einsum("ijp,plq,pk->ijkl", c, c, g)  # repeated p, as printed
-        - _einsum("klp,piq,qj->ijkl", c, c, g)
-        + _einsum("klp,pjq,qi->ijkl", c, c, g)
-        + _einsum("ikp,jlq,pq->ijkl", s, s, g)
-        - _einsum("ilp,jkq,pq->ijkl", s, s, g)
-    )
-    return 0.25 * four_r
+    return _literal_rows(spec, metric, adjoint_coeffs(spec, metric))()
 
 
 def ricci_general(spec: LieAlgebraSpec, metric: MetricState) -> np.ndarray:
@@ -149,13 +261,30 @@ def literal_discrepancy(spec: LieAlgebraSpec, metric: MetricState, tol: float = 
                         report: CurvatureReport | None = None):
     """Max |literal - canonical| for the printed Riemann and Ricci formulas.
 
-    The canonical values are those of ``report``, which must belong to
-    ``metric``; without one, a :func:`curvature_report` is built.
+    The canonical Ricci matrix is that of ``report``, which must belong to
+    ``metric``; without one, a :func:`curvature_report` is built.  Both Riemann
+    tensors are taken a block of first-index rows at a time (_BLOCK_BYTES), so
+    the memory held is O(d^3).
     Returns (riemann_dev, ricci_dev, flagged).
     """
     if report is None:
         report = curvature_report(spec, metric)
-    r_dev = float(np.abs(riemann_literal(spec, metric) - report.riemann).max())
+    conn = christoffel(spec, metric)
+    canonical = _riemann_rows(spec, metric, conn.gamma)
+    literal = _literal_rows(spec, metric, conn.adjoint)
+    del conn  # the kernels keep what they use; the adjoint is freed
+
+    def block_dev(block: slice | None) -> float:
+        dev = literal(block)
+        if block is None:
+            dev -= canonical(None)
+        else:  # the canonical rows in two halves: at most two blocks' bytes are live
+            lo, hi = block.start, block.stop
+            for rows in _blocks(lo, hi, (hi - lo + 1) // 2):
+                dev[rows.start - lo : rows.stop - lo] -= canonical(rows)
+        return np.abs(dev, out=dev).max()
+
+    r_dev = float(np.max([block_dev(block) for block in _row_blocks(spec.dim)]))
     ric_dev = float(np.abs(ricci_literal(spec, metric) - report.ricci).max())
     return r_dev, ric_dev, bool(max(r_dev, ric_dev) > tol)
 
@@ -272,13 +401,6 @@ def scalar_specialized(family: Family, metric_diag, n: int) -> float:
 
 
 def curvature_report(spec: LieAlgebraSpec, metric: MetricState) -> CurvatureReport:
-    """Riemann tensor, Ricci matrix and scalar curvature of one metric, each built once."""
+    """Ricci matrix and scalar curvature of one metric, each built once; no d^4 tensor."""
     ric = ricci_general(spec, metric)
-    sigma = None
-    if metric.diagonal_flag:
-        if spec.family is Family.HEISENBERG:
-            sigma = sigma_heisenberg(metric.diag, spec.n)
-        else:
-            sigma = sigma_quaternion(metric.diag, spec.n)[0]
-    return CurvatureReport(riemann=riemann(spec, metric), ricci=ric,
-                           scalar=_scalar(metric, ric), sigma=sigma)
+    return CurvatureReport(ricci=ric, scalar=_scalar(metric, ric))

@@ -208,9 +208,15 @@ def theoretical_p_factor(family: Family, n: int, rho: float, t: float) -> float:
 
 def verify_p8(spec: LieAlgebraSpec, metric: MetricState, p: float,
               samples: int = 200, seed: int = 0) -> dict:
-    """Residuals of the five P-factor inner-product identities on random tuples."""
+    """Residuals of the five P-factor inner-product identities on random tuples.
+
+    Each residual is the largest over the samples, taken with ``np.max`` so
+    that a nan is reported, not passed over.
+    """
     if samples < 1:
         raise InvalidParameterError(f"samples must be at least 1, got {samples}")
+    if not (np.isfinite(p) and p >= 0.0):
+        raise InvalidParameterError(f"p must be finite and nonnegative, got {p}")
     rng = np.random.default_rng(seed)
     v_idx = spec.complement_array
     z_idx = spec.center_array
@@ -219,14 +225,14 @@ def verify_p8(spec: LieAlgebraSpec, metric: MetricState, p: float,
     g_v = g[spec.complement_block]
     eye_v = np.eye(dim_v)
     names = ["cross_product", "polarized", "norm", "anticommutator", "bracket"]
-    worst = dict.fromkeys(names, 0.0)
+    residuals = np.empty((samples, len(names)))
 
     def full(idx, coords):
         v = np.zeros(spec.dim)
         v[idx] = coords
         return v
 
-    for _ in range(samples):
+    for row in residuals:
         xv = rng.standard_normal(dim_v)
         yv = rng.standard_normal(dim_v)
         z = full(z_idx, rng.standard_normal(len(z_idx)))
@@ -246,7 +252,7 @@ def verify_p8(spec: LieAlgebraSpec, metric: MetricState, p: float,
         br = _bracket(spec, full(v_idx, xv), full(v_idx, jz_x))
         r5 = np.abs(br - p * x_x * z).max()
 
-        for name, r in zip(names, (r1, r2, r3, r4, r5)):
-            worst[name] = max(worst[name], float(r))
-    worst["max_residual"] = max(worst[n] for n in names)
+        row[:] = r1, r2, r3, r4, r5
+    worst = dict(zip(names, np.max(residuals, axis=0).tolist()))
+    worst["max_residual"] = float(np.max(residuals))
     return worst

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -270,19 +272,64 @@ def test_literal_formulas_agree_q3():
     assert literal_discrepancy(spec, m, report=report) == (r_dev, ric_dev, flagged)
 
 
-def test_curvature_command_builds_one_riemann_tensor(tmp_path, monkeypatch):
+def test_curvature_command_builds_no_riemann_tensor(tmp_path, monkeypatch):
+    # the literal-formula report takes both tensors a block of rows at a time
     calls = []
-    original = curvature_module.riemann
 
-    def counting_riemann(spec, metric):
-        calls.append(metric)
-        return original(spec, metric)
+    def counting(function):
+        def wrapped(spec, metric):
+            calls.append(function.__name__)
+            return function(spec, metric)
+        return wrapped
 
-    monkeypatch.setattr(curvature_module, "riemann", counting_riemann)
+    monkeypatch.setattr(curvature_module, "riemann", counting(curvature_module.riemann))
+    monkeypatch.setattr(curvature_module, "riemann_literal",
+                        counting(curvature_module.riemann_literal))
     assert main(["curvature", "--family", "quaternion", "--n", "2",
                  "--g0", ",".join(["1.5"] * 8 + ["0.5"] * 3),
                  "--output", str(tmp_path / "cur.json")]) == 0
-    assert len(calls) == 1
+    assert calls == []
+
+
+def test_curvature_command_memory_stays_below_one_d4_tensor(tmp_path):
+    # Q6 (d = 27) is split into row blocks; a single d^4 float64 array is 4.25 MB
+    dim = 27
+    tracemalloc.start()
+    try:
+        assert main(["curvature", "--family", "quaternion", "--n", "6",
+                     "--output", str(tmp_path / "cur.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * dim**4
+
+
+@pytest.mark.parametrize("dim", [3, 19, 20, 27, 35, 83])
+def test_row_blocks_partition_the_first_index(dim):
+    budget = curvature_module._BLOCK_BYTES
+    blocks = curvature_module._row_blocks(dim)
+    if 8 * dim**4 <= budget:  # the tensor fits in one block: contracted whole
+        assert blocks == [None]
+        return
+    assert [i for block in blocks for i in range(dim)[block]] == list(range(dim))
+    assert all(8 * dim**3 * (b.stop - b.start) <= max(budget, 8 * dim**3) for b in blocks)
+
+
+@pytest.mark.parametrize("family, n", [(f, n) for f in Family for n in range(1, 9)])
+def test_row_blocks_are_bitwise_rows_of_the_whole_tensors(family, n):
+    spec = build_group(family, n)
+    dim = spec.dim
+    rng = np.random.default_rng(100 + n)
+    for metric in (MetricState.from_diag(rng.uniform(0.5, 2.0, dim)), random_spd_metric(dim, rng)):
+        conn = christoffel(spec, metric)
+        whole = {"canonical": riemann(spec, metric),
+                 "literal": curvature_module.riemann_literal(spec, metric)}
+        for size in (1, 3, dim):  # one row, several rows, all rows
+            kernels = {"canonical": curvature_module._riemann_rows(spec, metric, conn.gamma),
+                       "literal": curvature_module._literal_rows(spec, metric, conn.adjoint)}
+            for name, rows in kernels.items():
+                blocks = [rows(slice(lo, min(lo + size, dim))) for lo in range(0, dim, size)]
+                assert np.array_equal(np.concatenate(blocks), whole[name]), (name, size)
 
 
 def test_verify_command_builds_each_ricci_matrix_once(tmp_path, monkeypatch):

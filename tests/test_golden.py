@@ -3,7 +3,7 @@
 The digests were recorded at commit 94f99e5 ("Scale the curvature engine with
 dimension; harden CLI output"), before the diagonal right-hand side became one
 cached kernel per (family, n), with numpy 2.4.6 on x86-64; the spectrum digests
-at commit 87850d4, as noted at their cases.  Each case runs one
+at commit 87850d4 and curvature-Q6/Q8 at commit 59ab3b5, as noted at their cases.  Each case runs one
 CLI command in an empty directory, with relative paths so the bytes do not
 depend on where it runs, and hashes every file it writes.
 
@@ -73,11 +73,19 @@ CASES = {
                      "--output", "curvature.json"],
     "curvature-Q2": ["curvature", "--family", "quaternion", "--n", "2", "--g0", seeded_g0(11),
                      "--output", "curvature.json"],
+    # recorded at commit 59ab3b5, before the Riemann tensors were built in row
+    # blocks; unlike H3 and Q2, these two are split into blocks
+    "curvature-Q6": ["curvature", "--family", "quaternion", "--n", "6", "--g0", seeded_g0(27),
+                     "--output", "curvature.json"],
+    "curvature-Q8": ["curvature", "--family", "quaternion", "--n", "8", "--g0", seeded_g0(35),
+                     "--output", "curvature.json"],
 }
 
 DIGESTS = {
     "curvature-H3": "dde21f5533c1bbc41490f19cb623dfa752c7e4161d8ebb87c4b8ef3face99474",
     "curvature-Q2": "883ee0e00fd24cb614a4a3d01891f9480bb1ecf2ec1079c2ee26f1bbbb0aa536",
+    "curvature-Q6": "43de46d2d605bac3fa34afbffb41737bac2f9cd36c3de201442645192f6b8a17",
+    "curvature-Q8": "8c0dca338d99dc15ac34701af020c1cb5adf27b10305286c1b83f15332a38868",
     "flow-H1-rho-0.25-identity": "d11e62f6fd0df1fe839a7b2fc57a1d695c208832d7d60bd53b82e118387c1a8e",
     "flow-H1-rho-0.25-seeded": "3980e1ad64b88f37e7b3861304aff1bc71ccd8bb18a846caca63402d7246dd3f",
     "flow-H1-rho0-identity": "fae13c973970bf4e4344b8501de486f98ae232e84ab2efc80e8fb96317ded1ca",

@@ -193,6 +193,24 @@ def test_p8_rejects_fewer_than_one_sample(samples):
         verify_p8(H1, ID3, 1.0, samples=samples)
 
 
+@pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf, -1.0])
+def test_p8_rejects_a_non_finite_or_negative_p(p):
+    with pytest.raises(InvalidParameterError):
+        verify_p8(H1, ID3, p)
+
+
+def test_p8_reports_a_nan_residual(monkeypatch):
+    # one nan j(Z) must reach every residual it feeds and max_residual
+    def nan_j(spec, g, g_v, z):
+        return np.full((len(g_v), len(g_v)), np.nan)
+
+    monkeypatch.setattr(joperator, "_j_matrix", nan_j)
+    report = verify_p8(H1, ID3, 1.0, samples=3)
+    assert np.isnan(report["max_residual"])
+    assert all(np.isnan(report[name]) for name in
+               ("cross_product", "polarized", "norm", "anticommutator", "bracket"))
+
+
 # --- the vectorised j(Z) layer against its loop references -----------------
 
 def j_matrix_loop(spec, metric, z):
