@@ -8,8 +8,9 @@ eigenspaces decide whether the metric algebra is of Heisenberg type
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -38,6 +39,11 @@ class SpectralReport:
     eigenvalues: tuple[float, ...]
 
 
+def _check_integer(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise InvalidParameterError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 def _center_coords(spec: LieAlgebraSpec, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (spec.dim,):
@@ -59,12 +65,12 @@ def j_matrix(spec: LieAlgebraSpec, metric: MetricState, z) -> np.ndarray:
 
 
 def _j_matrix(spec: LieAlgebraSpec, g: np.ndarray, g_v: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Unchecked ``j_matrix`` for a central Z, given the Gram matrix and its V block.
+    """Unchecked ``j_matrix`` for a central Z, or a stack of them with shape (S, dim).
 
-    Each C[i, j, :] has at most one nonzero entry, so each entry of B is a
-    single product, the same one the per-pair dot ``(g z) . C[i, j]`` gives.
+    Each row takes one Z's ``g z`` product and ``solve``.  Each C[i, j, :] has at
+    most one nonzero entry, so each entry of B is the one product ``(g z) . C[i, j]`` gives.
     """
-    b = spec.structure_vv @ (g @ z)
+    b = spec.structure_vv @ (g @ z[..., None])[..., 0].T
     return np.linalg.solve(g_v, b.T)
 
 
@@ -86,34 +92,25 @@ def _cluster(eigs: np.ndarray) -> list[list[int]]:
     return groups
 
 
-def _heisenberg_like_for_z(spec, g, z, z_norm2, j, w_bases, rng=None) -> bool:
-    """Check [j(Z)X, X] in span(Z) on eigenspace bases plus random combinations.
+def _center_bracket(spec, jx, x) -> np.ndarray:
+    """[jx, x] for each row of V-coordinate vectors ``x`` and ``jx``, in center coordinates."""
+    i, j, k, v = spec.structure_columns
+    i, j = np.searchsorted(spec.complement_array, i), np.searchsorted(spec.complement_array, j)
+    br = np.zeros((len(x), spec.dim_z))
+    np.add.at(br, (slice(None), np.searchsorted(spec.center_array, k)),
+              v * (jx[:, i] * x[:, j] - jx[:, j] * x[:, i]))
+    return br
 
-    ``g`` is the Gram matrix, ``z_norm2`` = <Z, Z> and ``j`` the matrix of j(Z).
-    """
-    v_idx = spec.complement_array
-    if rng is None:
-        rng = np.random.default_rng(20240 + spec.dim)
-    for basis in w_bases:
-        candidates = list(basis)
-        if len(basis) > 1:
-            coeffs = rng.standard_normal((N_RANDOM_CENTER_DIRECTIONS, len(basis)))
-            candidates += [
-                sum(cc * v for cc, v in zip(row, basis)) for row in coeffs
-            ]
-        for x_v in candidates:
-            x = np.zeros(spec.dim)
-            x[v_idx] = x_v
-            jx = np.zeros(spec.dim)
-            jx[v_idx] = j @ x_v
-            br = _bracket(spec, jx, x)
-            # residual of br orthogonal to Z under the metric
-            proj = float(br @ g @ z) / z_norm2
-            resid = br - proj * z
-            scale = max(np.linalg.norm(br), np.linalg.norm(x_v) ** 2 * np.sqrt(z_norm2), 1e-30)
-            if np.sqrt(max(float(resid @ g @ resid), 0.0)) > LIKE_RTOL * scale:
-                return False
-    return True
+
+def _off_line(g, z, br, x_norm2) -> np.ndarray:
+    """Which brackets ``br`` = [j(Z)X, X], in center coordinates like ``g`` and ``z``, lie
+    off the line of Z beyond tolerance; ``x_norm2`` holds each X's Euclidean |X|^2."""
+    z_norm2 = np.sum((z @ g) * z, axis=1)
+    # residual of br orthogonal to Z under the metric
+    resid = br - (np.sum((br @ g) * z, axis=1) / z_norm2)[:, None] * z
+    lhs = np.sqrt(np.maximum(np.sum((resid @ g) * resid, axis=1), 0.0))
+    scale = np.maximum(np.maximum(np.linalg.norm(br, axis=1), x_norm2 * np.sqrt(z_norm2)), 1e-30)
+    return lhs > LIKE_RTOL * scale
 
 
 def spectrum(spec: LieAlgebraSpec, metric: MetricState, z) -> SpectralReport:
@@ -122,72 +119,75 @@ def spectrum(spec: LieAlgebraSpec, metric: MetricState, z) -> SpectralReport:
     if not np.any(z):
         raise InvalidParameterError("Z must be nonzero")
     g_v = metric.g[spec.complement_block]
-    return _spectrum(spec, metric.g, g_v, _metric_sqrt(g_v), z)
+    return _spectra(spec, metric.g, g_v, _metric_sqrt(g_v), z[None])[0]
 
 
-def _spectrum(spec, g, g_v, root, z) -> SpectralReport:
-    """Unchecked ``spectrum`` for a nonzero central Z; ``root`` is ``_metric_sqrt(g_v)``."""
-    m = _j_matrix(spec, g, g_v, z)
+def _spectra(spec, g, g_v, root, zs) -> list[SpectralReport]:
+    """Unchecked ``spectrum`` for each row of a stack of nonzero central Z.
+
+    ``root`` is ``_metric_sqrt(g_v)``; each row's eigenvalues are bit for bit those
+    of a one-row stack.  A direction not of Heisenberg type is Heisenberg-like when
+    [j(Z)X, X] lies on the line of Z for each eigenspace basis vector X and random
+    combinations of each basis; one test runs over the candidates of all directions.
+    """
+    m = _j_matrix(spec, g, g_v, zs)
     s, s_inv = root
     k = s @ m @ s_inv  # antisymmetric in the orthonormal frame
     eigs, vecs = np.linalg.eigh(k @ k)
     eigs = np.minimum(eigs, 0.0)
 
-    groups = _cluster(eigs)
-    thetas = []
-    dims = []
-    w_bases = []
-    for grp in groups:
-        lam = float(np.mean(eigs[grp]))
-        thetas.append(float(np.sqrt(-lam)))
-        dims.append(len(grp))
-        w_bases.append([s_inv @ vecs[:, i] for i in grp])  # back to V coordinates
-    order = np.argsort(thetas)
-    thetas = [thetas[i] for i in order]
-    dims = [dims[i] for i in order]
-    w_bases = [w_bases[i] for i in order]
+    reports, brs, x_norm2s, owners = [], [], [], []
+    for d, (z, e) in enumerate(zip(zs, eigs)):
+        groups = _cluster(e)
+        thetas = [float(np.sqrt(-float(np.mean(e[grp])))) for grp in groups]
+        order = np.argsort(thetas)
+        groups, thetas = [groups[i] for i in order], [thetas[i] for i in order]
+        z_norm2 = float(z @ g @ z)
+        mu = len(thetas)
+        is_type = mu == 1 and abs(thetas[0] ** 2 - z_norm2) <= TYPE_ATOL * max(1.0, z_norm2)
+        reports.append(SpectralReport(
+            mu=mu,
+            thetas=tuple(thetas),
+            subspace_dims=tuple(len(grp) for grp in groups),
+            verdict=Verdict.HEISENBERG_TYPE if is_type else Verdict.HEISENBERG_LIKE,
+            p_factor_observed=float(thetas[0] ** 2 / z_norm2 if mu == 1 else float("nan")),
+            eigenvalues=tuple(e.tolist()),
+        ))
+        if not is_type:
+            rng = np.random.default_rng(20240 + spec.dim)  # the same stream for each direction
+            w = s_inv @ vecs[d]  # back to V coordinates, one eigenvector per column
+            x = []
+            for grp in groups:
+                x.append(w[:, grp].T)
+                if len(grp) > 1:
+                    x.append(rng.standard_normal((N_RANDOM_CENTER_DIRECTIONS, len(grp))) @ x[-1])
+            x = np.concatenate(x)
+            brs.append(_center_bracket(spec, x @ m[d].T, x))  # J X one direction block at a time
+            x_norm2s.append(np.einsum("ij,ij->i", x, x))
+            owners += [d] * len(x)
 
-    z_norm2 = float(z @ g @ z)
-    mu = len(thetas)
-    if mu == 1 and abs(thetas[0] ** 2 - z_norm2) <= TYPE_ATOL * max(1.0, z_norm2):
-        verdict = Verdict.HEISENBERG_TYPE
-    elif _heisenberg_like_for_z(spec, g, z, z_norm2, m, w_bases):
-        verdict = Verdict.HEISENBERG_LIKE
-    else:
-        verdict = Verdict.NEITHER
-
-    p_obs = thetas[0] ** 2 / z_norm2 if mu == 1 else float("nan")
-    return SpectralReport(
-        mu=mu,
-        thetas=tuple(thetas),
-        subspace_dims=tuple(dims),
-        verdict=verdict,
-        p_factor_observed=float(p_obs),
-        eigenvalues=tuple(float(e) for e in eigs),
-    )
+    if owners:
+        owner = np.array(owners)
+        c_idx = spec.center_array
+        off = _off_line(g[np.ix_(c_idx, c_idx)], zs[:, c_idx][owner],
+                        np.concatenate(brs), np.concatenate(x_norm2s))
+        for d in set(owner[off].tolist()):
+            reports[d] = replace(reports[d], verdict=Verdict.NEITHER)
+    return reports
 
 
 def classify(spec: LieAlgebraSpec, metric: MetricState, seed: int = 7) -> Verdict:
     """Verdict over the center basis plus random unit center directions."""
-    rng = np.random.default_rng(seed)
-    z_idx = list(spec.center_indices)
-    samples = []
-    for i in z_idx:
-        z = np.zeros(spec.dim)
-        z[i] = 1.0
-        samples.append(z)
-    for _ in range(N_RANDOM_CENTER_DIRECTIONS):
-        z = np.zeros(spec.dim)
-        coeffs = rng.standard_normal(len(z_idx))
-        z[z_idx] = coeffs / np.linalg.norm(coeffs)
-        samples.append(z)
-
+    _check_integer("seed", seed, 0)
+    coeffs = np.random.default_rng(seed).standard_normal((N_RANDOM_CENTER_DIRECTIONS, spec.dim_z))
+    zs = np.zeros((spec.dim_z + N_RANDOM_CENTER_DIRECTIONS, spec.dim))
+    zs[:, spec.center_array] = np.vstack([np.eye(spec.dim_z)] +
+                                         [c / np.linalg.norm(c) for c in coeffs])
     g_v = metric.g[spec.complement_block]
-    root = _metric_sqrt(g_v)
-    reports = [_spectrum(spec, metric.g, g_v, root, z) for z in samples]
-    if all(r.verdict is Verdict.HEISENBERG_TYPE for r in reports):
+    verdicts = {r.verdict for r in _spectra(spec, metric.g, g_v, _metric_sqrt(g_v), zs)}
+    if verdicts == {Verdict.HEISENBERG_TYPE}:
         return Verdict.HEISENBERG_TYPE
-    if all(r.verdict in (Verdict.HEISENBERG_TYPE, Verdict.HEISENBERG_LIKE) for r in reports):
+    if Verdict.NEITHER not in verdicts:
         return Verdict.HEISENBERG_LIKE
     return Verdict.NEITHER
 
@@ -213,8 +213,8 @@ def verify_p8(spec: LieAlgebraSpec, metric: MetricState, p: float,
     Each residual is the largest over the samples, taken with ``np.max`` so
     that a nan is reported, not passed over.
     """
-    if samples < 1:
-        raise InvalidParameterError(f"samples must be at least 1, got {samples}")
+    _check_integer("samples", samples, 1)
+    _check_integer("seed", seed, 0)
     if not (np.isfinite(p) and p >= 0.0):
         raise InvalidParameterError(f"p must be finite and nonnegative, got {p}")
     rng = np.random.default_rng(seed)

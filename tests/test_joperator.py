@@ -285,7 +285,233 @@ def test_classify_takes_one_metric_root(monkeypatch):
     spec = build_group(Family.QUATERNION, 2)
     metric = MetricState.from_diag(np.linspace(0.5, 2.0, spec.dim))
     roots = count_calls(monkeypatch, "_metric_sqrt")
-    js = count_calls(monkeypatch, "_j_matrix")
+    stacks = []
+    original = joperator._j_matrix
+
+    def recorded(spec, g, g_v, z):
+        stacks.append(z.shape)
+        return original(spec, g, g_v, z)
+
+    monkeypatch.setattr(joperator, "_j_matrix", recorded)
     classify(spec, metric)
     assert len(roots) == 1
-    assert len(js) == spec.dim_z + joperator.N_RANDOM_CENTER_DIRECTIONS
+    assert stacks == [(spec.dim_z + joperator.N_RANDOM_CENTER_DIRECTIONS, spec.dim)]
+
+
+# --- the stacked spectral path against the per-direction loop --------------
+
+def heisenberg_like_loop(spec, g, z, z_norm2, j, w_bases):
+    """The per-candidate eigenspace check as the layer ran it one direction at a time,
+    but going on past the first failing candidate.
+
+    Returns its verdict, each candidate's lhs / (LIKE_RTOL * scale), the factor by
+    which it passes (< 1) or fails (> 1) the test, and the candidates.
+    """
+    v_idx = spec.complement_array
+    rng = np.random.default_rng(20240 + spec.dim)
+    like, ratios, tested = True, [], []
+    for basis in w_bases:
+        candidates = list(basis)
+        if len(basis) > 1:
+            coeffs = rng.standard_normal((joperator.N_RANDOM_CENTER_DIRECTIONS, len(basis)))
+            candidates += [sum(cc * v for cc, v in zip(row, basis)) for row in coeffs]
+        tested += candidates
+        for x_v in candidates:
+            x = np.zeros(spec.dim)
+            x[v_idx] = x_v
+            jx = np.zeros(spec.dim)
+            jx[v_idx] = j @ x_v
+            br = bracket(spec, jx, x)
+            proj = float(br @ g @ z) / z_norm2
+            resid = br - proj * z
+            scale = max(np.linalg.norm(br), np.linalg.norm(x_v) ** 2 * np.sqrt(z_norm2), 1e-30)
+            lhs = np.sqrt(max(float(resid @ g @ resid), 0.0))
+            like = like and not lhs > joperator.LIKE_RTOL * scale
+            ratios.append(lhs / (joperator.LIKE_RTOL * scale))
+    return like, ratios, tested
+
+
+def spectrum_loop(spec, metric, z):
+    """One direction's eigenvalues, verdict, candidate ratios and candidates, by the former path."""
+    g = metric.g
+    g_v = g[spec.complement_block]
+    j = joperator._j_matrix(spec, g, g_v, z)
+    s, s_inv = joperator._metric_sqrt(g_v)
+    k = s @ j @ s_inv
+    eigs, vecs = np.linalg.eigh(k @ k)
+    eigs = np.minimum(eigs, 0.0)
+    groups = joperator._cluster(eigs)
+    thetas = [float(np.sqrt(-float(np.mean(eigs[grp])))) for grp in groups]
+    w_bases = [[s_inv @ vecs[:, i] for i in groups[o]] for o in np.argsort(thetas)]
+    z_norm2 = float(z @ g @ z)
+    if len(thetas) == 1 and abs(thetas[0] ** 2 - z_norm2) <= joperator.TYPE_ATOL * max(1.0, z_norm2):
+        return eigs, Verdict.HEISENBERG_TYPE, [], []
+    like, ratios, candidates = heisenberg_like_loop(spec, g, z, z_norm2, j, w_bases)
+    return eigs, Verdict.HEISENBERG_LIKE if like else Verdict.NEITHER, ratios, candidates
+
+
+def classify_loop(spec, metric, seed):
+    """``classify`` one direction at a time; its verdict and all candidate ratios."""
+    rng = np.random.default_rng(seed)
+    z_idx = list(spec.center_indices)
+    zs = list(np.eye(spec.dim)[z_idx])
+    for _ in range(joperator.N_RANDOM_CENTER_DIRECTIONS):
+        z = np.zeros(spec.dim)
+        coeffs = rng.standard_normal(len(z_idx))
+        z[z_idx] = coeffs / np.linalg.norm(coeffs)
+        zs.append(z)
+    verdicts, ratios = set(), []
+    for z in zs:
+        _, verdict, r, _ = spectrum_loop(spec, metric, z)
+        verdicts.add(verdict)
+        ratios += r
+    if verdicts == {Verdict.HEISENBERG_TYPE}:
+        return Verdict.HEISENBERG_TYPE, ratios
+    return (Verdict.NEITHER if Verdict.NEITHER in verdicts else Verdict.HEISENBERG_LIKE), ratios
+
+
+SMALL_GROUPS = ((Family.HEISENBERG, 1), (Family.HEISENBERG, 2), (Family.HEISENBERG, 3),
+                (Family.QUATERNION, 1), (Family.QUATERNION, 2))
+
+
+@st.composite
+def classified_metrics(draw):
+    """Random diagonal metrics, and closed-form flows from admissible g0."""
+    family, n = draw(st.sampled_from(SMALL_GROUPS))
+    spec = build_group(family, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        g = rng.uniform(0.3, 3.0, spec.dim)
+    else:
+        # admissible g0: g_i g_{n+i} = P on H_n, equal V and equal center entries on Q_n
+        v, ratio = rng.uniform(0.5, 2.0, 2)
+        if family is Family.HEISENBERG:
+            a = rng.uniform(0.5, 2.0, n)
+            g0 = np.concatenate([a, v / a, [ratio * v]])
+        else:
+            g0 = np.concatenate([np.full(4 * n, v), np.full(3, ratio * v * v)])
+        g = closed_form(family, g0, n, rng.uniform(-0.5, 0.0), rng.uniform(0.0, 2.0))
+    return spec, MetricState.from_diag(g), draw(st.integers(0, 2**31 - 1))
+
+
+def assert_margin(ratios):
+    # a rounding change moves lhs by a few ulps of scale, about 1e-7 of LIKE_RTOL * scale
+    ratios = np.asarray(ratios)
+    assert np.all((ratios <= 1e-3) | (ratios >= 1e3)), ratios[(ratios > 1e-3) & (ratios < 1e3)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(classified_metrics())
+def test_stacked_verdicts_match_the_per_candidate_loop(case):
+    spec, metric, seed = case
+    expected, ratios = classify_loop(spec, metric, seed)
+    assert classify(spec, metric, seed=seed) is expected
+    assert_margin(ratios)
+    rng = np.random.default_rng(seed)
+    zs = list(np.eye(spec.dim)[list(spec.center_indices)])
+    zs.append(np.zeros(spec.dim))
+    zs[-1][list(spec.center_indices)] = rng.standard_normal(spec.dim_z)
+    for z in zs:
+        eigs, verdict, ratios, _ = spectrum_loop(spec, metric, z)
+        report = spectrum(spec, metric, z)
+        assert report.verdict is verdict
+        assert report.eigenvalues == tuple(eigs.tolist())
+        assert_margin(ratios)
+
+
+def test_classify_directions_are_one_direction_spectra(monkeypatch):
+    spec = build_group(Family.QUATERNION, 3)
+    metric = MetricState.from_diag(np.random.default_rng(5).uniform(0.5, 2.0, spec.dim))
+    calls = []
+    original = joperator._spectra
+
+    def recorded(spec, g, g_v, root, zs):
+        calls.append((zs, original(spec, g, g_v, root, zs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(joperator, "_spectra", recorded)
+    classify(spec, metric, seed=11)
+    assert len(calls) == 1
+    zs, reports = calls[0]
+    assert len(zs) == spec.dim_z + joperator.N_RANDOM_CENTER_DIRECTIONS
+    for z, report in zip(zs, reports):
+        single = spectrum(spec, metric, z)
+        assert report.eigenvalues == single.eigenvalues
+        assert report.thetas == single.thetas
+        assert report.verdict is single.verdict
+
+
+@pytest.mark.parametrize("spec,diag", [
+    (build_group(Family.HEISENBERG, 2), [1.0, 2.0, 1.0, 1.0, 1.0]),  # two 2-dim eigenspaces
+    (Q1, [1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5]),  # three directions, one 4-dim eigenspace each
+])
+def test_candidates_are_the_loop_candidates(monkeypatch, spec, diag):
+    # same stream from the start for each direction, drawn group by group in theta order
+    metric = MetricState.from_diag(diag)
+    zs = np.eye(spec.dim)[list(spec.center_indices)]
+    tested = []
+    original = joperator._center_bracket
+
+    def recorded(spec, jx, x):
+        tested.append(x)
+        return original(spec, jx, x)
+
+    monkeypatch.setattr(joperator, "_center_bracket", recorded)
+    g_v = metric.g[spec.complement_block]
+    reports = joperator._spectra(spec, metric.g, g_v, joperator._metric_sqrt(g_v), zs)
+    assert {r.verdict for r in reports} == {Verdict.HEISENBERG_LIKE}
+    assert len(tested) == len(zs)  # one block per direction
+    for z, x in zip(zs, tested):
+        expected = spectrum_loop(spec, metric, z)[3]
+        assert x.shape == (len(expected), spec.dim_v)
+        assert np.allclose(x, expected, rtol=0.0, atol=1e-12)
+
+
+# --- Neither, and a stack mixing verdicts ------------------------------------
+
+Q1_SKEWED = MetricState.from_diag([1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.0])
+
+
+def test_classify_q1_skewed_center_is_neither():
+    assert classify(Q1, Q1_SKEWED) is Verdict.NEITHER
+    assert classify_loop(Q1, Q1_SKEWED, 7)[0] is Verdict.NEITHER
+
+
+def test_spectrum_on_a_failing_direction_is_neither():
+    z = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0])
+    report = spectrum(Q1, Q1_SKEWED, z)
+    assert report.mu == 1
+    assert report.verdict is Verdict.NEITHER
+    assert spectrum_loop(Q1, Q1_SKEWED, z)[1] is Verdict.NEITHER
+
+
+def test_one_stack_keeps_each_direction_verdict():
+    # j(Z)^2 = -(z1^2 + 4 z2^2 + z3^2) Id: e_5 and e_7 are Type, e_6 is Like, e_5 + e_6 is Neither
+    zs = np.zeros((4, 7))
+    zs[[0, 1, 2, 3, 3], [4, 5, 6, 4, 5]] = 1.0
+    g = Q1_SKEWED.g
+    g_v = g[Q1.complement_block]
+    reports = joperator._spectra(Q1, g, g_v, joperator._metric_sqrt(g_v), zs)
+    assert [r.verdict for r in reports] == [Verdict.HEISENBERG_TYPE, Verdict.HEISENBERG_LIKE,
+                                            Verdict.HEISENBERG_TYPE, Verdict.NEITHER]
+    assert [r.thetas for r in reports[:3]] == [(1.0,), (2.0,), (1.0,)]
+
+
+# --- integer arguments --------------------------------------------------------
+
+@pytest.mark.parametrize("kwargs", [{"samples": 2.5}, {"samples": "3"}, {"samples": True},
+                                    {"seed": 1.5}, {"seed": -1}])
+def test_p8_rejects_a_non_integer_count_or_seed(kwargs):
+    with pytest.raises(InvalidParameterError):
+        verify_p8(H1, ID3, 1.0, **kwargs)
+
+
+@pytest.mark.parametrize("seed", [1.5, "7", -1, None])
+def test_classify_rejects_a_non_integer_seed(seed):
+    with pytest.raises(InvalidParameterError):
+        classify(H1, ID3, seed=seed)
+
+
+def test_integer_arguments_of_numpy_type_are_accepted():
+    assert classify(H1, ID3, seed=np.int64(3)) is Verdict.HEISENBERG_TYPE
+    assert verify_p8(H1, ID3, 1.0, samples=np.int32(2), seed=np.uint8(1))["max_residual"] < 1e-10
