@@ -180,10 +180,11 @@ def bracket(spec: LieAlgebraSpec, x, y) -> np.ndarray:
 
 
 def _bracket(spec: LieAlgebraSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Unchecked ``bracket``: ``add.at`` accumulates each ``out[k]`` in structure order."""
+    """Unchecked ``bracket``, also row by row for stacks of shape (S, dim): ``add.at``
+    accumulates each ``out[..., k]`` in structure order."""
     i, j, k, v = spec.structure_columns
-    out = np.zeros(spec.dim)
-    np.add.at(out, k, v * (x[i] * y[j] - x[j] * y[i]))
+    out = np.zeros(x.shape)
+    np.add.at(out, (..., k), v * (x[..., i] * y[..., j] - x[..., j] * y[..., i]))
     return out
 
 

@@ -118,13 +118,25 @@ class Trajectory:
     @classmethod
     def from_csv(cls, text: str, family: Family, n: int, rho: float,
                  terminated_reason: TerminationReason = TerminationReason.HORIZON) -> "Trajectory":
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        header = lines[0].split(",")
-        if header[0] != "t" or not all(h.startswith("g_") for h in header[1:]):
+        """Read ``to_csv`` text back; a malformed table raises ``InvalidParameterError``."""
+        family = Family(family)
+        dim = family_dim(family, n)
+        lines = [ln.split(",") for ln in text.strip().splitlines() if ln]
+        if not lines or lines[0][0] != "t" or not all(h.startswith("g_") for h in lines[0][1:]):
             raise InvalidParameterError("bad trajectory CSV header")
-        rows = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+        if len(lines[0]) != dim + 1:
+            raise InvalidParameterError(f"trajectory CSV has {len(lines[0]) - 1} metric columns; "
+                                        f"{family.short}{n} has dimension {dim}")
+        if len(lines) < 2 or any(len(row) != dim + 1 for row in lines):
+            raise InvalidParameterError("trajectory CSV needs rows, each as wide as its header")
+        try:
+            rows = np.array([[float(x) for x in row] for row in lines[1:]])
+        except ValueError as exc:
+            raise InvalidParameterError(f"trajectory CSV has a non-numeric cell: {exc}") from None
+        if not np.isfinite(rows).all() or np.any(np.diff(rows[:, 0]) < 0.0):
+            raise InvalidParameterError("trajectory CSV needs finite cells and nondecreasing times")
         return cls(
-            family=Family(family), n=n, rho=rho,
+            family=family, n=n, rho=rho,
             times=rows[:, 0], states=rows[:, 1:],
             terminated_reason=terminated_reason,
         )

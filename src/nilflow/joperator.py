@@ -92,14 +92,32 @@ def _cluster(eigs: np.ndarray) -> list[list[int]]:
     return groups
 
 
-def _center_bracket(spec, jx, x) -> np.ndarray:
-    """[jx, x] for each row of V-coordinate vectors ``x`` and ``jx``, in center coordinates."""
-    i, j, k, v = spec.structure_columns
-    i, j = np.searchsorted(spec.complement_array, i), np.searchsorted(spec.complement_array, j)
-    br = np.zeros((len(x), spec.dim_z))
-    np.add.at(br, (slice(None), np.searchsorted(spec.center_array, k)),
-              v * (jx[:, i] * x[:, j] - jx[:, j] * x[:, i]))
-    return br
+def _groups_and_thetas(eigs: np.ndarray) -> list[tuple[list, list]]:
+    """For each row of ``eigs`` (ascending, nonpositive): its ``_cluster`` groups and
+    their thetas sqrt(-mean), both in ascending theta order.
+
+    The eigenvalues of j(Z)^2 come in pairs, so on a generic metric each group holds
+    two.  A group of one or two takes its theta from arrays over all rows at once,
+    with ``np.mean``'s bits: its sum of one or two values is 0.0 + e_i (+ e_i+1),
+    which also reads -0.0 as +0.0.
+    """
+    one = np.sqrt(-(eigs + 0.0)).tolist()
+    two = np.sqrt(-((eigs[:, :-1] + eigs[:, 1:] + 0.0) / 2.0)).tolist()
+    out = []
+    for d, e in enumerate(eigs):
+        groups = _cluster(e)
+        thetas = [one[d][grp[0]] if len(grp) == 1 else two[d][grp[0]] if len(grp) == 2
+                  else float(np.sqrt(-float(np.mean(e[grp])))) for grp in groups]
+        order = np.argsort(thetas)
+        out.append(([groups[i] for i in order], [thetas[i] for i in order]))
+    return out
+
+
+def _full(spec, idx, coords) -> np.ndarray:
+    """Each row of ``coords`` placed at positions ``idx`` of a zero algebra vector."""
+    v = np.zeros((len(coords), spec.dim))
+    v[:, idx] = coords
+    return v
 
 
 def _off_line(g, z, br, x_norm2) -> np.ndarray:
@@ -136,12 +154,9 @@ def _spectra(spec, g, g_v, root, zs) -> list[SpectralReport]:
     eigs, vecs = np.linalg.eigh(k @ k)
     eigs = np.minimum(eigs, 0.0)
 
+    v_idx = spec.complement_array
     reports, brs, x_norm2s, owners = [], [], [], []
-    for d, (z, e) in enumerate(zip(zs, eigs)):
-        groups = _cluster(e)
-        thetas = [float(np.sqrt(-float(np.mean(e[grp])))) for grp in groups]
-        order = np.argsort(thetas)
-        groups, thetas = [groups[i] for i in order], [thetas[i] for i in order]
+    for d, (z, e, (groups, thetas)) in enumerate(zip(zs, eigs, _groups_and_thetas(eigs))):
         z_norm2 = float(z @ g @ z)
         mu = len(thetas)
         is_type = mu == 1 and abs(thetas[0] ** 2 - z_norm2) <= TYPE_ATOL * max(1.0, z_norm2)
@@ -162,7 +177,9 @@ def _spectra(spec, g, g_v, root, zs) -> list[SpectralReport]:
                 if len(grp) > 1:
                     x.append(rng.standard_normal((N_RANDOM_CENTER_DIRECTIONS, len(grp))) @ x[-1])
             x = np.concatenate(x)
-            brs.append(_center_bracket(spec, x @ m[d].T, x))  # J X one direction block at a time
+            # [J X, X] in center coordinates, one direction block at a time
+            br = _bracket(spec, _full(spec, v_idx, x @ m[d].T), _full(spec, v_idx, x))
+            brs.append(br[:, spec.center_array])
             x_norm2s.append(np.einsum("ij,ij->i", x, x))
             owners += [d] * len(x)
 
@@ -180,9 +197,8 @@ def classify(spec: LieAlgebraSpec, metric: MetricState, seed: int = 7) -> Verdic
     """Verdict over the center basis plus random unit center directions."""
     _check_integer("seed", seed, 0)
     coeffs = np.random.default_rng(seed).standard_normal((N_RANDOM_CENTER_DIRECTIONS, spec.dim_z))
-    zs = np.zeros((spec.dim_z + N_RANDOM_CENTER_DIRECTIONS, spec.dim))
-    zs[:, spec.center_array] = np.vstack([np.eye(spec.dim_z)] +
-                                         [c / np.linalg.norm(c) for c in coeffs])
+    zs = _full(spec, spec.center_array,
+               np.vstack([np.eye(spec.dim_z)] + [c / np.linalg.norm(c) for c in coeffs]))
     g_v = metric.g[spec.complement_block]
     verdicts = {r.verdict for r in _spectra(spec, metric.g, g_v, _metric_sqrt(g_v), zs)}
     if verdicts == {Verdict.HEISENBERG_TYPE}:
@@ -206,53 +222,79 @@ def theoretical_p_factor(family: Family, n: int, rho: float, t: float) -> float:
     return 1.0 / denom
 
 
+# verify_p8 takes its samples in blocks of about this many bytes of one (samples, dim_V,
+# dim_V) stack, so its peak memory does not grow with the sample count.
+_P8_BLOCK_BYTES = 1 << 16
+
+
 def verify_p8(spec: LieAlgebraSpec, metric: MetricState, p: float,
               samples: int = 200, seed: int = 0) -> dict:
     """Residuals of the five P-factor inner-product identities on random tuples.
 
     Each residual is the largest over the samples, taken with ``np.max`` so
-    that a nan is reported, not passed over.
+    that a nan is reported, not passed over.  The samples are taken as stacks,
+    a block of about ``_P8_BLOCK_BYTES`` at a time; each residual is bit for bit
+    the one a loop over the samples gives.
     """
     _check_integer("samples", samples, 1)
     _check_integer("seed", seed, 0)
     if not (np.isfinite(p) and p >= 0.0):
         raise InvalidParameterError(f"p must be finite and nonnegative, got {p}")
     rng = np.random.default_rng(seed)
-    v_idx = spec.complement_array
-    z_idx = spec.center_array
-    dim_v = len(v_idx)
     g = metric.g
     g_v = g[spec.complement_block]
-    eye_v = np.eye(dim_v)
     names = ["cross_product", "polarized", "norm", "anticommutator", "bracket"]
-    residuals = np.empty((samples, len(names)))
+    worst = np.zeros(len(names))  # the residuals are nonnegative or nan
+    size = max(1, _P8_BLOCK_BYTES // (8 * spec.dim_v**2))
+    for lo in range(0, samples, size):
+        # one row per sample: x, y in V coordinates, then Z, Z* in center coordinates,
+        # the values four draws per sample would give
+        draw = rng.standard_normal((min(size, samples - lo), 2 * (spec.dim_v + spec.dim_z)))
+        worst = np.maximum(worst, np.max(_p8_residuals(spec, g, g_v, p, draw), axis=0))
+    report = dict(zip(names, worst.tolist()))
+    report["max_residual"] = float(np.max(worst))
+    return report
 
-    def full(idx, coords):
-        v = np.zeros(spec.dim)
-        v[idx] = coords
-        return v
 
-    for row in residuals:
-        xv = rng.standard_normal(dim_v)
-        yv = rng.standard_normal(dim_v)
-        z = full(z_idx, rng.standard_normal(len(z_idx)))
-        zs = full(z_idx, rng.standard_normal(len(z_idx)))
-        jz = _j_matrix(spec, g, g_v, z)
-        jzs = _j_matrix(spec, g, g_v, zs)
-        jz_x = jz @ xv
-        x_x = xv @ g_v @ xv
-        z_zs = float(z @ g @ zs)
-        z_z = float(z @ g @ z)
+# Products of (S, m) stacks of vectors, each taken as (S, 1, m) rows or (S, m, 1)
+# columns, so that each slice is the product one sample's 1-D vectors make.
+def _dot(a, b):
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-        r1 = abs(jz_x @ g_v @ (jzs @ xv) - p * z_zs * x_x)
-        r2 = abs(jz_x @ g_v @ (jz @ yv) - p * z_z * (xv @ g_v @ yv))
-        r3 = abs(np.sqrt(jz_x @ g_v @ jz_x)
-                 - np.sqrt(p) * np.sqrt(z_z) * np.sqrt(x_x))
-        r4 = np.abs(jz @ jzs + jzs @ jz + 2.0 * p * z_zs * eye_v).max()
-        br = _bracket(spec, full(v_idx, xv), full(v_idx, jz_x))
-        r5 = np.abs(br - p * x_x * z).max()
 
-        row[:] = r1, r2, r3, r4, r5
-    worst = dict(zip(names, np.max(residuals, axis=0).tolist()))
-    worst["max_residual"] = float(np.max(residuals))
-    return worst
+def _row_times(a, m):
+    return (a[:, None, :] @ m)[:, 0]
+
+
+def _times_column(m, a):
+    return (m @ a[:, :, None])[..., 0]
+
+
+def _p8_residuals(spec, g, g_v, p, draw) -> np.ndarray:
+    """The five residuals of each row (x, y, Z, Z*) of ``draw``, shape (S, 5).
+
+    Each product is a stacked ``matmul`` whose slices have the shapes of one
+    sample's 1-D products (a dot, a row vector times a matrix, a matrix times a
+    column), so numpy runs the same BLAS routine on each slice.
+    """
+    dim_v, v_idx, z_idx = spec.dim_v, spec.complement_array, spec.center_array
+    xv, yv, zc, zsc = np.split(draw, np.cumsum([dim_v, dim_v, spec.dim_z]), axis=1)
+    z, zs = _full(spec, z_idx, zc), _full(spec, z_idx, zsc)
+    jz = _j_matrix(spec, g, g_v, z)
+    jzs = _j_matrix(spec, g, g_v, zs)
+    jz_x = _times_column(jz, xv)
+    jz_x_g = _row_times(jz_x, g_v)
+    x_g = _row_times(xv, g_v)
+    x_x = _dot(x_g, xv)
+    z_g = _row_times(z, g)
+    z_zs = _dot(z_g, zs)
+    z_z = _dot(z_g, z)
+
+    r1 = np.abs(_dot(jz_x_g, _times_column(jzs, xv)) - p * z_zs * x_x)
+    r2 = np.abs(_dot(jz_x_g, _times_column(jz, yv)) - p * z_z * _dot(x_g, yv))
+    r3 = np.abs(np.sqrt(_dot(jz_x_g, jz_x)) - np.sqrt(p) * np.sqrt(z_z) * np.sqrt(x_x))
+    r4 = np.abs(jz @ jzs + jzs @ jz
+                + (2.0 * p * z_zs)[:, None, None] * np.eye(dim_v)).max(axis=(1, 2))
+    br = _bracket(spec, _full(spec, v_idx, xv), _full(spec, v_idx, jz_x))
+    r5 = np.abs(br - (p * x_x)[:, None] * z).max(axis=1)
+    return np.column_stack([r1, r2, r3, r4, r5])

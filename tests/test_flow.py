@@ -366,3 +366,47 @@ def test_trajectory_csv_roundtrip():
     back = Trajectory.from_csv(text, Family.HEISENBERG, 1, 0.0)
     assert np.all(back.times == traj.times)
     assert np.all(back.states == traj.states)
+
+
+@st.composite
+def csv_trajectories(draw):
+    """Rows as wide as the header, finite cells, nondecreasing times."""
+    family = draw(st.sampled_from(list(Family)))
+    n = draw(st.integers(1, 3))
+    rows = draw(st.integers(1, 6))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    times = sorted(draw(st.lists(finite, min_size=rows, max_size=rows)))
+    states = draw(st.lists(st.lists(finite, min_size=family_dim(family, n),
+                                    max_size=family_dim(family, n)),
+                           min_size=rows, max_size=rows))
+    return Trajectory(family=family, n=n, rho=0.0, times=np.array(times),
+                      states=np.array(states), terminated_reason=TerminationReason.HORIZON)
+
+
+@settings(max_examples=100, deadline=None)
+@given(csv_trajectories())
+def test_csv_roundtrip_is_bitwise(traj):
+    back = Trajectory.from_csv(traj.to_csv(), traj.family, traj.n, traj.rho)
+    assert back.times.tobytes() == traj.times.tobytes()
+    assert back.states.tobytes() == traj.states.tobytes()
+
+
+H1_HEADER = "t,g_1,g_2,g_3\n"
+
+
+@pytest.mark.parametrize("text", [
+    "",  # no header
+    "x,g_1,g_2,g_3\n0,1,1,1\n",  # bad header
+    H1_HEADER,  # no rows
+    "t,g_1,g_2,g_3,g_4,g_5\n0,1,1,1,1,1\n",  # H2's width for H1
+    "t,g_1,g_2\n0,1,1\n",  # too narrow for H1
+    H1_HEADER + "0,1,1,1\n0.1,1,1\n",  # ragged: a short row
+    H1_HEADER + "0,1,1,1\n0.1,1,1,1,1\n",  # ragged: a long row
+    H1_HEADER + "0,1,abc,1\n",  # non-numeric cell
+    H1_HEADER + "0,1,,1\n",  # empty cell
+    H1_HEADER + "0,1,nan,1\n",  # non-finite cell
+    H1_HEADER + "0,1,1,1\n0.2,1,1,1\n0.1,1,1,1\n",  # times out of order
+])
+def test_from_csv_rejects_a_malformed_table(text):
+    with pytest.raises(InvalidParameterError):
+        Trajectory.from_csv(text, Family.HEISENBERG, 1, 0.0)

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilflow import joperator
+from nilflow.algebra import _bracket
 from nilflow import (
     Family,
     InvalidParameterError,
@@ -374,24 +377,29 @@ SMALL_GROUPS = ((Family.HEISENBERG, 1), (Family.HEISENBERG, 2), (Family.HEISENBE
                 (Family.QUATERNION, 1), (Family.QUATERNION, 2))
 
 
+def diagonal_or_flowed(spec, rng, diagonal):
+    """A random diagonal metric, or else a closed-form flow from an admissible g0."""
+    if diagonal:
+        return MetricState.from_diag(rng.uniform(0.3, 3.0, spec.dim))
+    # admissible g0: g_i g_{n+i} = P on H_n, equal V and equal center entries on Q_n
+    family, n = spec.family, spec.n
+    v, ratio = rng.uniform(0.5, 2.0, 2)
+    if family is Family.HEISENBERG:
+        a = rng.uniform(0.5, 2.0, n)
+        g0 = np.concatenate([a, v / a, [ratio * v]])
+    else:
+        g0 = np.concatenate([np.full(4 * n, v), np.full(3, ratio * v * v)])
+    return MetricState.from_diag(
+        closed_form(family, g0, n, rng.uniform(-0.5, 0.0), rng.uniform(0.0, 2.0)))
+
+
 @st.composite
 def classified_metrics(draw):
     """Random diagonal metrics, and closed-form flows from admissible g0."""
-    family, n = draw(st.sampled_from(SMALL_GROUPS))
-    spec = build_group(family, n)
+    spec = build_group(*draw(st.sampled_from(SMALL_GROUPS)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        g = rng.uniform(0.3, 3.0, spec.dim)
-    else:
-        # admissible g0: g_i g_{n+i} = P on H_n, equal V and equal center entries on Q_n
-        v, ratio = rng.uniform(0.5, 2.0, 2)
-        if family is Family.HEISENBERG:
-            a = rng.uniform(0.5, 2.0, n)
-            g0 = np.concatenate([a, v / a, [ratio * v]])
-        else:
-            g0 = np.concatenate([np.full(4 * n, v), np.full(3, ratio * v * v)])
-        g = closed_form(family, g0, n, rng.uniform(-0.5, 0.0), rng.uniform(0.0, 2.0))
-    return spec, MetricState.from_diag(g), draw(st.integers(0, 2**31 - 1))
+    metric = diagonal_or_flowed(spec, rng, draw(st.booleans()))
+    return spec, metric, draw(st.integers(0, 2**31 - 1))
 
 
 def assert_margin(ratios):
@@ -450,13 +458,13 @@ def test_candidates_are_the_loop_candidates(monkeypatch, spec, diag):
     metric = MetricState.from_diag(diag)
     zs = np.eye(spec.dim)[list(spec.center_indices)]
     tested = []
-    original = joperator._center_bracket
+    original = joperator._bracket
 
     def recorded(spec, jx, x):
-        tested.append(x)
+        tested.append(x[:, spec.complement_array])
         return original(spec, jx, x)
 
-    monkeypatch.setattr(joperator, "_center_bracket", recorded)
+    monkeypatch.setattr(joperator, "_bracket", recorded)
     g_v = metric.g[spec.complement_block]
     reports = joperator._spectra(spec, metric.g, g_v, joperator._metric_sqrt(g_v), zs)
     assert {r.verdict for r in reports} == {Verdict.HEISENBERG_LIKE}
@@ -515,3 +523,156 @@ def test_classify_rejects_a_non_integer_seed(seed):
 def test_integer_arguments_of_numpy_type_are_accepted():
     assert classify(H1, ID3, seed=np.int64(3)) is Verdict.HEISENBERG_TYPE
     assert verify_p8(H1, ID3, 1.0, samples=np.int32(2), seed=np.uint8(1))["max_residual"] < 1e-10
+
+
+# --- thetas of one- and two-eigenvalue groups ---------------------------------
+
+def test_group_thetas_are_the_np_mean_thetas():
+    # signed zeros, subnormals, pairs, a singleton and a group of three in one stack
+    eigs = np.array([[-4.0, -4.0 * (1 + 1e-12), -1.0, -0.0],
+                     [-5e-324, -5e-324, -0.0, 0.0],
+                     [-3.0, -2.0, -2.0, -2.0],
+                     [-2.0, -2.0, -0.0, -0.0],
+                     [-0.0, -0.0, -0.0, -0.0]])
+    for e, (groups, thetas) in zip(eigs, joperator._groups_and_thetas(eigs)):
+        expected = [float(np.sqrt(-float(np.mean(e[grp])))) for grp in joperator._cluster(e)]
+        assert [t.hex() for t in thetas] == [t.hex() for t in sorted(expected)]
+    assert [len(g) for g in joperator._groups_and_thetas(eigs)[0][0]] == [1, 1, 2]
+
+
+# --- the stacked verify_p8 against its per-sample loop ------------------------
+
+P8_NAMES = ("cross_product", "polarized", "norm", "anticommutator", "bracket")
+
+
+def verify_p8_loop(spec, metric, p, samples, seed):
+    """``verify_p8`` one sample at a time, as the layer computed it before."""
+    rng = np.random.default_rng(seed)
+    v_idx, z_idx = spec.complement_array, spec.center_array
+    g = metric.g
+    g_v = g[spec.complement_block]
+    residuals = np.empty((samples, len(P8_NAMES)))
+
+    def full(idx, coords):
+        v = np.zeros(spec.dim)
+        v[idx] = coords
+        return v
+
+    for row in residuals:
+        xv = rng.standard_normal(spec.dim_v)
+        yv = rng.standard_normal(spec.dim_v)
+        z = full(z_idx, rng.standard_normal(spec.dim_z))
+        zs = full(z_idx, rng.standard_normal(spec.dim_z))
+        jz = joperator._j_matrix(spec, g, g_v, z)
+        jzs = joperator._j_matrix(spec, g, g_v, zs)
+        jz_x = jz @ xv
+        x_x = xv @ g_v @ xv
+        z_zs = float(z @ g @ zs)
+        z_z = float(z @ g @ z)
+        r1 = abs(jz_x @ g_v @ (jzs @ xv) - p * z_zs * x_x)
+        r2 = abs(jz_x @ g_v @ (jz @ yv) - p * z_z * (xv @ g_v @ yv))
+        r3 = abs(np.sqrt(jz_x @ g_v @ jz_x) - np.sqrt(p) * np.sqrt(z_z) * np.sqrt(x_x))
+        r4 = np.abs(jz @ jzs + jzs @ jz + 2.0 * p * z_zs * np.eye(spec.dim_v)).max()
+        br = _bracket(spec, full(v_idx, xv), full(v_idx, jz_x))
+        row[:] = r1, r2, r3, r4, np.abs(br - p * x_x * z).max()
+    worst = dict(zip(P8_NAMES, np.max(residuals, axis=0).tolist()))
+    worst["max_residual"] = float(np.max(residuals))
+    return worst
+
+
+def hexed(report):
+    return {name: float(value).hex() for name, value in report.items()}
+
+
+P8_GROUPS = tuple((Family.HEISENBERG, n) for n in range(1, 5)) + \
+    tuple((Family.QUATERNION, n) for n in range(1, 4))
+
+
+def block_size(spec):
+    return max(1, joperator._P8_BLOCK_BYTES // (8 * spec.dim_v**2))
+
+
+@st.composite
+def p8_cases(draw):
+    spec = build_group(*draw(st.sampled_from(P8_GROUPS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    metric = diagonal_or_flowed(spec, rng, draw(st.booleans()))
+    p = draw(st.floats(0.0, 3.0))
+    return spec, metric, p, draw(st.sampled_from([1, 2, 7, 50, 200])), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p8_cases())
+def test_stacked_p8_is_bitwise_its_per_sample_loop(case):
+    spec, metric, p, samples, seed = case
+    report = verify_p8(spec, metric, p, samples=samples, seed=seed)
+    assert hexed(report) == hexed(verify_p8_loop(spec, metric, p, samples, seed))
+
+
+def test_p8_cases_include_partial_last_blocks():
+    # on Q3 the property's 200 samples end in a partial block, and 50 fill part of one
+    size = block_size(build_group(Family.QUATERNION, 3))
+    assert 50 < size < 200 and 200 % size != 0
+
+
+def test_p8_one_nan_sample_reaches_its_residuals(monkeypatch):
+    # a nan j(Z*) in sample 100 of 200, in the second block at Q3, reaches the two
+    # residuals that use j(Z*) and max_residual; the other residuals keep their bits
+    spec = build_group(Family.QUATERNION, 3)
+    metric = MetricState.from_diag(np.random.default_rng(3).uniform(0.5, 2.0, spec.dim))
+    clean = verify_p8(spec, metric, 1.0, samples=200, seed=4)
+    assert 100 > block_size(spec)
+    original = joperator._j_matrix
+    calls, seen = [], [0]
+
+    def nan_one_z_star(spec, g, g_v, z):
+        j = original(spec, g, g_v, z)
+        calls.append(len(z))
+        if len(calls) % 2 == 0:  # each block makes its j(Z) call, then its j(Z*) call
+            if seen[0] <= 100 < seen[0] + len(z):
+                j[100 - seen[0]] = np.nan
+            seen[0] += len(z)
+        return j
+
+    monkeypatch.setattr(joperator, "_j_matrix", nan_one_z_star)
+    report = verify_p8(spec, metric, 1.0, samples=200, seed=4)
+    assert seen[0] == 200
+    assert np.isnan(report["max_residual"])
+    assert np.isnan(report["cross_product"]) and np.isnan(report["anticommutator"])
+    for name in ("polarized", "norm", "bracket"):
+        assert report[name].hex() == clean[name].hex()
+
+
+def test_p8_makes_one_j_call_for_z_and_one_for_z_star_per_block(monkeypatch):
+    spec = build_group(Family.QUATERNION, 3)
+    metric = MetricState.from_diag(np.linspace(0.5, 2.0, spec.dim))
+    stacks = []
+    original = joperator._j_matrix
+
+    def recorded(spec, g, g_v, z):
+        stacks.append(z.shape)
+        return original(spec, g, g_v, z)
+
+    monkeypatch.setattr(joperator, "_j_matrix", recorded)
+    verify_p8(spec, metric, 1.0, samples=200, seed=0)
+    size = block_size(spec)
+    blocks = [min(size, 200 - lo) for lo in range(0, 200, size)]
+    assert stacks == [(b, spec.dim) for b in blocks for _ in range(2)]
+
+
+def p8_peak(spec, metric, samples):
+    tracemalloc.start()
+    try:
+        verify_p8(spec, metric, 1.0, samples=samples, seed=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_p8_peak_memory_does_not_grow_with_samples():
+    # unblocked, 400 samples at Q6 would hold several 1.8 MB (samples, 24, 24) stacks
+    spec = build_group(Family.QUATERNION, 6)
+    metric = MetricState.from_diag(np.random.default_rng(5).uniform(0.5, 2.0, spec.dim))
+    p8_peak(spec, metric, 5)
+    few, many = p8_peak(spec, metric, 50), p8_peak(spec, metric, 400)
+    assert many <= few + joperator._P8_BLOCK_BYTES // 4, (few, many)
