@@ -92,27 +92,6 @@ def _cluster(eigs: np.ndarray) -> list[list[int]]:
     return groups
 
 
-def _groups_and_thetas(eigs: np.ndarray) -> list[tuple[list, list]]:
-    """For each row of ``eigs`` (ascending, nonpositive): its ``_cluster`` groups and
-    their thetas sqrt(-mean), both in ascending theta order.
-
-    The eigenvalues of j(Z)^2 come in pairs, so on a generic metric each group holds
-    two.  A group of one or two takes its theta from arrays over all rows at once,
-    with ``np.mean``'s bits: its sum of one or two values is 0.0 + e_i (+ e_i+1),
-    which also reads -0.0 as +0.0.
-    """
-    one = np.sqrt(-(eigs + 0.0)).tolist()
-    two = np.sqrt(-((eigs[:, :-1] + eigs[:, 1:] + 0.0) / 2.0)).tolist()
-    out = []
-    for d, e in enumerate(eigs):
-        groups = _cluster(e)
-        thetas = [one[d][grp[0]] if len(grp) == 1 else two[d][grp[0]] if len(grp) == 2
-                  else float(np.sqrt(-float(np.mean(e[grp])))) for grp in groups]
-        order = np.argsort(thetas)
-        out.append(([groups[i] for i in order], [thetas[i] for i in order]))
-    return out
-
-
 def _full(spec, idx, coords) -> np.ndarray:
     """Each row of ``coords`` placed at positions ``idx`` of a zero algebra vector."""
     v = np.zeros((len(coords), spec.dim))
@@ -156,7 +135,11 @@ def _spectra(spec, g, g_v, root, zs) -> list[SpectralReport]:
 
     v_idx = spec.complement_array
     reports, brs, x_norm2s, owners = [], [], [], []
-    for d, (z, e, (groups, thetas)) in enumerate(zip(zs, eigs, _groups_and_thetas(eigs))):
+    for d, (z, e) in enumerate(zip(zs, eigs)):
+        groups = _cluster(e)
+        thetas = [float(np.sqrt(-float(np.mean(e[grp])))) for grp in groups]
+        order = np.argsort(thetas)
+        groups, thetas = [groups[i] for i in order], [thetas[i] for i in order]
         z_norm2 = float(z @ g @ z)
         mu = len(thetas)
         is_type = mu == 1 and abs(thetas[0] ** 2 - z_norm2) <= TYPE_ATOL * max(1.0, z_norm2)
@@ -224,7 +207,7 @@ def theoretical_p_factor(family: Family, n: int, rho: float, t: float) -> float:
 
 # verify_p8 takes its samples in blocks of about this many bytes of one (samples, dim_V,
 # dim_V) stack, so its peak memory does not grow with the sample count.
-_P8_BLOCK_BYTES = 1 << 16
+_P8_BLOCK_BYTES = 1 << 15
 
 
 def verify_p8(spec: LieAlgebraSpec, metric: MetricState, p: float,

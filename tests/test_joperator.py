@@ -525,21 +525,6 @@ def test_integer_arguments_of_numpy_type_are_accepted():
     assert verify_p8(H1, ID3, 1.0, samples=np.int32(2), seed=np.uint8(1))["max_residual"] < 1e-10
 
 
-# --- thetas of one- and two-eigenvalue groups ---------------------------------
-
-def test_group_thetas_are_the_np_mean_thetas():
-    # signed zeros, subnormals, pairs, a singleton and a group of three in one stack
-    eigs = np.array([[-4.0, -4.0 * (1 + 1e-12), -1.0, -0.0],
-                     [-5e-324, -5e-324, -0.0, 0.0],
-                     [-3.0, -2.0, -2.0, -2.0],
-                     [-2.0, -2.0, -0.0, -0.0],
-                     [-0.0, -0.0, -0.0, -0.0]])
-    for e, (groups, thetas) in zip(eigs, joperator._groups_and_thetas(eigs)):
-        expected = [float(np.sqrt(-float(np.mean(e[grp])))) for grp in joperator._cluster(e)]
-        assert [t.hex() for t in thetas] == [t.hex() for t in sorted(expected)]
-    assert [len(g) for g in joperator._groups_and_thetas(eigs)[0][0]] == [1, 1, 2]
-
-
 # --- the stacked verify_p8 against its per-sample loop ------------------------
 
 P8_NAMES = ("cross_product", "polarized", "norm", "anticommutator", "bracket")
@@ -588,10 +573,6 @@ P8_GROUPS = tuple((Family.HEISENBERG, n) for n in range(1, 5)) + \
     tuple((Family.QUATERNION, n) for n in range(1, 4))
 
 
-def block_size(spec):
-    return max(1, joperator._P8_BLOCK_BYTES // (8 * spec.dim_v**2))
-
-
 @st.composite
 def p8_cases(draw):
     spec = build_group(*draw(st.sampled_from(P8_GROUPS)))
@@ -609,34 +590,25 @@ def test_stacked_p8_is_bitwise_its_per_sample_loop(case):
     assert hexed(report) == hexed(verify_p8_loop(spec, metric, p, samples, seed))
 
 
-def test_p8_cases_include_partial_last_blocks():
-    # on Q3 the property's 200 samples end in a partial block, and 50 fill part of one
-    size = block_size(build_group(Family.QUATERNION, 3))
-    assert 50 < size < 200 and 200 % size != 0
-
-
 def test_p8_one_nan_sample_reaches_its_residuals(monkeypatch):
-    # a nan j(Z*) in sample 100 of 200, in the second block at Q3, reaches the two
+    # a nan j(Z*) in the last of 200 samples at Q3, in the last block, reaches the two
     # residuals that use j(Z*) and max_residual; the other residuals keep their bits
     spec = build_group(Family.QUATERNION, 3)
     metric = MetricState.from_diag(np.random.default_rng(3).uniform(0.5, 2.0, spec.dim))
     clean = verify_p8(spec, metric, 1.0, samples=200, seed=4)
-    assert 100 > block_size(spec)
     original = joperator._j_matrix
-    calls, seen = [], [0]
+    calls = []
 
-    def nan_one_z_star(spec, g, g_v, z):
+    def nan_last_z_star(spec, g, g_v, z):
         j = original(spec, g, g_v, z)
         calls.append(len(z))
-        if len(calls) % 2 == 0:  # each block makes its j(Z) call, then its j(Z*) call
-            if seen[0] <= 100 < seen[0] + len(z):
-                j[100 - seen[0]] = np.nan
-            seen[0] += len(z)
+        if sum(calls) == 2 * 200:  # the j(Z*) call of the last block
+            j[-1] = np.nan
         return j
 
-    monkeypatch.setattr(joperator, "_j_matrix", nan_one_z_star)
+    monkeypatch.setattr(joperator, "_j_matrix", nan_last_z_star)
     report = verify_p8(spec, metric, 1.0, samples=200, seed=4)
-    assert seen[0] == 200
+    assert sum(calls) == 2 * 200 and len(calls) > 2
     assert np.isnan(report["max_residual"])
     assert np.isnan(report["cross_product"]) and np.isnan(report["anticommutator"])
     for name in ("polarized", "norm", "bracket"):
@@ -655,9 +627,9 @@ def test_p8_makes_one_j_call_for_z_and_one_for_z_star_per_block(monkeypatch):
 
     monkeypatch.setattr(joperator, "_j_matrix", recorded)
     verify_p8(spec, metric, 1.0, samples=200, seed=0)
-    size = block_size(spec)
-    blocks = [min(size, 200 - lo) for lo in range(0, 200, size)]
+    blocks = [shape[0] for shape in stacks[::2]]
     assert stacks == [(b, spec.dim) for b in blocks for _ in range(2)]
+    assert sum(blocks) == 200 and len(set(blocks[:-1])) == 1 and 0 < blocks[-1] <= blocks[0]
 
 
 def p8_peak(spec, metric, samples):
