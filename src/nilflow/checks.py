@@ -12,9 +12,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import LieAlgebraSpec, MetricState, build_group
+from .algebra import Family, LieAlgebraSpec, MetricState, build_group
 from .curvature import _scalar, ricci_general, ricci_specialized_diag, scalar_specialized
-from .flow import FlowParams, Trajectory, closed_form, integrate, rhs_diagonal
+from .flow import (FlowParams, Trajectory, _closed_form_at, closed_form, closed_form_coeffs,
+                   integrate, rhs_diagonal)
 from .joperator import SpectralReport, spectrum, theoretical_p_factor, verify_p8
 from .spectrum import central_periods, length_spectrum_witness
 
@@ -44,8 +45,9 @@ def ricci_oracle_deviation(spec: LieAlgebraSpec, metrics) -> float:
 
 def closed_form_error(traj: Trajectory) -> float:
     """Max relative error of the samples against the exact solution from the first."""
-    g0 = traj.states[0]
-    return _worst(np.abs(state / closed_form(traj.family, g0, traj.n, traj.rho, t) - 1.0).max()
+    family, g0 = Family(traj.family), traj.states[0]
+    coeffs = closed_form_coeffs(family, g0, traj.n, traj.rho)  # the hypotheses, checked once
+    return _worst(np.abs(state / _closed_form_at(family, g0, traj.n, coeffs, t) - 1.0).max()
                   for t, state in zip(traj.times, traj.states))
 
 

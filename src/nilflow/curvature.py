@@ -9,6 +9,7 @@ reported against the canonical values, never used as the source of truth.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,18 +298,45 @@ def scalar_curvature(spec: LieAlgebraSpec, metric: MetricState) -> float:
     return _scalar(metric, ricci_general(spec, metric))
 
 
-def _check_diag(diag, expected_len: int) -> np.ndarray:
-    diag = np.asarray(diag, dtype=float)
-    if diag.shape != (expected_len,):
+def _check_diag(diag, expected_len: int) -> list:
+    """The entries of a diagonal metric as a list of floats, after one shape check and one pass."""
+    values = np.asarray(diag, dtype=float)
+    if values.shape != (expected_len,):
         raise InvalidParameterError(
-            f"diagonal metric must have length {expected_len}, got {diag.shape}"
+            f"diagonal metric must have length {expected_len}, got {values.shape}"
         )
-    # two reductions: min is nan if any entry is nan, max is inf if any entry is +inf
-    if not (diag.min() > 0.0 and diag.max() < np.inf):
-        if not np.isfinite(diag).all():
-            raise InvalidParameterError("diagonal metric has a non-finite component")
-        raise DegenerateMetricError("diagonal metric has a nonpositive component")
-    return diag
+    values = values.tolist()
+    for x in values:
+        if not 0.0 < x < math.inf:  # a nan fails too
+            if not all(map(math.isfinite, values)):
+                raise InvalidParameterError("diagonal metric has a non-finite component")
+            raise DegenerateMetricError("diagonal metric has a nonpositive component")
+    return values
+
+
+def _add_reduce(terms: list) -> float:
+    """``np.add.reduce`` of a list of floats, bit for bit: numpy's order of additions.
+
+    numpy adds fewer than 8 terms left to right, from 0.0.  Up to 128 terms,
+    eight accumulators take every eighth term and are combined as a balanced
+    tree, then the terms past the last multiple of 8 are added in order.  Above
+    128, the terms are split at the multiple of 8 at or below the middle, and
+    the halves' sums are added.
+    """
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _add_reduce(terms[:half]) + _add_reduce(terms[half:])
+    total, tail = 0.0, 0  # numpy's 0.0 start only turns a -0.0 sum into 0.0
+    if n >= 8:
+        tail = n - n % 8
+        acc = terms[:8]
+        for i in range(8, tail, 8):
+            acc = [a + x for a, x in zip(acc, terms[i : i + 8])]
+        total += ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for x in terms[tail:]:
+        total += x
+    return total
 
 
 @functools.lru_cache(maxsize=256)
@@ -316,59 +344,54 @@ def _diag_kernel(family: Family, n: int):
     """The closed-form diagonal curvature of H_n or Q_n as one function of g.
 
     Built once per (family, n) on first use.  The returned ``kernel(g)`` takes a
-    checked diagonal and gives ``(ricci_diag, scalar, sigma)``, where sigma is
-    Sigma on H_n and (Sigma', Sigma_1, Sigma_2, Sigma_3) on Q_n, all from one
-    evaluation of the sums.  Gather indices replace the per-block slices; each
-    entry is computed by the same float operations, in the same order, as the
-    slice formulas it stands for, so the results are bitwise those formulas'.
+    checked diagonal as a list of floats and gives ``(ricci_diag, scalar, sigma)``,
+    with the Ricci diagonal as a list and sigma Sigma on H_n and
+    (Sigma', Sigma_1, Sigma_2, Sigma_3) on Q_n, all from one evaluation of the
+    sums.  Each value is computed by the same float operations, in the same
+    order, as the block-slice formulas on arrays, with each sum in
+    ``np.add.reduce``'s order, so the results are bitwise those formulas'.
     """
     family = Family(family)
     if n < 1:
         raise InvalidParameterError("n must be positive")
     dim = family_dim(family, n)
     if family is Family.HEISENBERG:
-        # Ric_i = -g_N / (2 g_{n+i}), Ric_{n+i} = -g_N / (2 g_i); the last slot is overwritten
-        den = np.r_[n : 2 * n, :n, 2 * n]
+        # Ric_i = -g_N / (2 g_{n+i}), Ric_{n+i} = -g_N / (2 g_i), Ric_N = g_N^2 Sigma / 2
+        den = (*range(n, 2 * n), *range(n))
 
         def kernel(g):
             g_n = g[2 * n]
-            sigma = float(np.add.reduce(1.0 / (g[:n] * g[n : 2 * n])))
-            r = -0.5 * g_n / g[den]
-            r[2 * n] = 0.5 * g_n**2 * sigma
-            return r, -0.5 * float(g_n) * sigma, sigma
+            sigma = _add_reduce([1.0 / (a * b) for a, b in zip(g[:n], g[n : 2 * n])])
+            half = -0.5 * g_n
+            r = [half / g[i] for i in den]
+            r.append(0.5 * g_n**2 * sigma)
+            return r, half * sigma, sigma
 
         kernel.dim = dim
         return kernel
 
     # V block b (entries b*n .. b*n+n-1) has Ric = -(z_a/v_p + z_b/v_q + z_c/v_r)/2,
-    # summed left to right; terms[b] lists its (center slot, V block) pairs
+    # summed left to right; terms[b] lists its (center slot, V block) pairs, and
+    # ricci_at lists each entry's (z_a, v_p, z_b, v_q, z_c, v_r) as indices into g
     terms = (((0, 1), (2, 2), (1, 3)), ((0, 0), (1, 2), (2, 3)),
              ((2, 0), (1, 1), (0, 3)), ((1, 0), (2, 1), (0, 2)))
-    block = np.arange(n)
-    # num_den[0] / num_den[1] is (3, dim): one row per term; the center columns
-    # divide z_1 by itself and are overwritten
-    num_den = np.full((2, 3, dim), 4 * n)
-    for b, row in enumerate(terms):
-        for a, (z, v) in enumerate(row):
-            num_den[0, a, b * n : (b + 1) * n] = 4 * n + z
-            num_den[1, a, b * n : (b + 1) * n] = v * n + block
-    # Sigma_k = sum_i 1/(v_p v_q) + 1/(v_r v_s): pairs[0] * pairs[1] is (3, 2, n)
+    ricci_at = [tuple(x for z, v in row for x in (4 * n + z, v * n + i))
+                for row in terms for i in range(n)]
+    # Sigma_k = sum_i 1/(v_p v_q) + 1/(v_r v_s) over the V block pairs ((p, q), (r, s));
+    # sigma_at lists the n terms of Sigma_1, then Sigma_2's and Sigma_3's, each as
+    # (v_p, v_q, v_r, v_s) indices into g
     blocks = (((0, 1), (2, 3)), ((0, 3), (1, 2)), ((0, 2), (1, 3)))
-    pairs = np.array([[[p * n + block for p, _ in row] for row in blocks],
-                      [[q * n + block for _, q in row] for row in blocks]])
+    sigma_at = [tuple(b * n + i for pair in row for b in pair)
+                for row in blocks for i in range(n)]
 
     def kernel(g):
-        nd = g[num_den]
-        q = nd[0] / nd[1]
-        r = -0.5 * (q[0] + q[1] + q[2])
-        vv = g[pairs]
-        p = 1.0 / (vv[0] * vv[1])
-        s1, s2, s3 = np.add.reduce(p[:, 0] + p[:, 1], axis=1).tolist()
-        z1, z2, z3 = g[4 * n :].tolist()
+        r = [-0.5 * (g[za] / g[vp] + g[zb] / g[vq] + g[zc] / g[vr])
+             for za, vp, zb, vq, zc, vr in ricci_at]
+        t = [1.0 / (g[p] * g[q]) + 1.0 / (g[u] * g[w]) for p, q, u, w in sigma_at]
+        s1, s2, s3 = _add_reduce(t[:n]), _add_reduce(t[n : 2 * n]), _add_reduce(t[2 * n :])
+        z1, z2, z3 = g[4 * n :]
         sigma_prime = z1 * s1 + z2 * s2 + z3 * s3
-        r[4 * n] = 0.5 * z1**2 * s1
-        r[4 * n + 1] = 0.5 * z2**2 * s2
-        r[4 * n + 2] = 0.5 * z3**2 * s3
+        r += (0.5 * z1**2 * s1, 0.5 * z2**2 * s2, 0.5 * z3**2 * s3)
         return r, -0.5 * sigma_prime, (sigma_prime, s1, s2, s3)
 
     kernel.dim = dim
@@ -376,8 +399,21 @@ def _diag_kernel(family: Family, n: int):
 
 
 def _diag_curvature(family: Family, metric_diag, n: int):
+    """``(ricci_diag, scalar, sigma, g)`` of the kernel, with g the checked diagonal as floats.
+
+    Python floats raise where IEEE arithmetic overflows to inf (``**``) or
+    divides by zero (an underflowed product); there the kernel runs again on
+    numpy scalars, which take the same operations to inf or nan with numpy's
+    warnings, as the array formulas do.
+    """
     kernel = _diag_kernel(family, n)
-    return kernel(_check_diag(metric_diag, kernel.dim))
+    g = _check_diag(metric_diag, kernel.dim)
+    try:
+        return (*kernel(g), g)
+    except (OverflowError, ZeroDivisionError):
+        r, scalar, sigma = kernel([np.float64(x) for x in g])
+        sigma = tuple(map(float, sigma)) if isinstance(sigma, tuple) else float(sigma)
+        return [float(x) for x in r], float(scalar), sigma, g
 
 
 def sigma_heisenberg(metric_diag, n: int) -> float:
@@ -392,7 +428,7 @@ def sigma_quaternion(metric_diag, n: int):
 
 def ricci_specialized_diag(family: Family, metric_diag, n: int) -> np.ndarray:
     """Diagonal Ricci entries from the closed-form expressions for H_n / Q_n."""
-    return _diag_curvature(family, metric_diag, n)[0]
+    return np.array(_diag_curvature(family, metric_diag, n)[0])
 
 
 def scalar_specialized(family: Family, metric_diag, n: int) -> float:

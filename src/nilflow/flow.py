@@ -15,8 +15,7 @@ import numpy as np
 
 from .algebra import Family, LieAlgebraSpec, MetricState, family_dim
 from .curvature import (
-    _check_diag,
-    _diag_kernel,
+    _diag_curvature,
     ricci_general,
     scalar_curvature,
     sigma_heisenberg,
@@ -155,14 +154,18 @@ def rhs_diagonal(family: Family, g, n: int, rho: float) -> np.ndarray:
     Built from the same specialized Ricci/scalar terms, so at rho = 0 this is
     bitwise equal to -2 * (diagonal Ricci).
     """
-    kernel = _diag_kernel(family, n)
-    g = _check_diag(g, kernel.dim)
-    r, scal, _ = kernel(g)
-    return -2.0 * r + (2.0 * rho * scal) * g
+    r, scal, _, g = _diag_curvature(family, g, n)
+    c = 2.0 * rho * scal
+    return np.array([-2.0 * ri + c * gi for ri, gi in zip(r, g)])
 
 
 def integrate(params: FlowParams, g0) -> Trajectory:
-    """Classical fixed-step RK4 for the diagonal flow system."""
+    """Classical fixed-step RK4 for the diagonal flow system.
+
+    The state and the stages are lists of floats, each entry computed by the
+    same float operations as the array expressions in the comments; each
+    stage's derivative comes from one :func:`rhs_diagonal` call.
+    """
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (params.dim,):
         raise InvalidParameterError(f"g0 must have length {params.dim}")
@@ -176,32 +179,36 @@ def integrate(params: FlowParams, g0) -> Trajectory:
     stage_steps = (0.5 * dt, 0.5 * dt, dt)  # k2, k3, k4 are taken at g + c * (previous k)
     sixth = dt / 6.0
 
+    g = g0.tolist()
     times = [0.0]
-    states = [g0.copy()]
-    g = g0.copy()
+    states = [g0]  # recorded as arrays: a float list takes 4x an array's bytes
     reason = TerminationReason.HORIZON
 
-    def ok(state: np.ndarray) -> bool:
-        # a nan fails both comparisons
-        return state.min() > EPS_DEGENERATE and state.max() < OVERFLOW_LIMIT
+    def ok(state: list) -> bool:
+        for x in state:
+            if not EPS_DEGENERATE < x < OVERFLOW_LIMIT:  # a nan fails too
+                return False
+        return True
 
     for step in range(1, n_steps + 1):
-        ks = [rhs_diagonal(fam, g, n, rho)]
+        k = rhs_diagonal(fam, g, n, rho).tolist()
+        ks = [k]
         for c in stage_steps:
-            state = g + c * ks[-1]
+            state = [x + c * y for x, y in zip(g, k)]  # g + c * k
             if not ok(state):
                 break
-            ks.append(rhs_diagonal(fam, state, n, rho))
-        else:
-            k1, k2, k3, k4 = ks
-            state = g + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k = rhs_diagonal(fam, state, n, rho).tolist()
+            ks.append(k)
+        else:  # g + sixth * (k1 + 2 k2 + 2 k3 + k4)
+            state = [x + sixth * (a + 2.0 * b + 2.0 * c + d)
+                     for x, a, b, c, d in zip(g, *ks)]
         if not ok(state):
             reason = _failure_reason(state)
             break
         g = state
         if step % params.record_every == 0 or step == n_steps:
             times.append(step * dt)
-            states.append(g)
+            states.append(np.array(g))
 
     traj = Trajectory(
         family=fam, n=n, rho=rho,
@@ -212,7 +219,8 @@ def integrate(params: FlowParams, g0) -> Trajectory:
     return traj
 
 
-def _failure_reason(state: np.ndarray) -> TerminationReason:
+def _failure_reason(state) -> TerminationReason:
+    state = np.asarray(state)
     if np.any(~np.isfinite(state)) or np.any(np.abs(state) >= OVERFLOW_LIMIT):
         return TerminationReason.OVERFLOW
     return TerminationReason.DEGENERATE
@@ -267,6 +275,12 @@ def closed_form(family: Family, g0, n: int, rho: float, t: float) -> np.ndarray:
     coeffs = closed_form_coeffs(family, g0, n, rho)
     if not np.isfinite(t):
         raise InvalidParameterError(f"t must be finite, got {t}")
+    return _closed_form_at(family, g0, n, coeffs, t)
+
+
+def _closed_form_at(family: Family, g0: np.ndarray, n: int, coeffs: ClosedFormCoeffs,
+                    t: float) -> np.ndarray:
+    """The exact solution at time t from the checked ``g0`` and its ``coeffs``."""
     base = 1.0 + coeffs.b_or_c * t
     if base <= 0.0:
         raise OutOfDomainError(f"1 + {coeffs.b_or_c:g} * t is nonpositive at t = {t:g}")
