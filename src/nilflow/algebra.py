@@ -37,6 +37,10 @@ class Family(str, Enum):
 
 
 def family_dim(family: Family, n: int) -> int:
+    """Dimension of H_n (2n+1) or Q_n (4n+3), for a :class:`Family` or its name; n >= 1."""
+    family = Family(family)
+    if n < 1:
+        raise InvalidParameterError(f"n must be a positive integer, got {n}")
     return 2 * n + 1 if family is Family.HEISENBERG else 4 * n + 3
 
 
@@ -145,14 +149,11 @@ class MetricState:
 def build_group(family: Family, n: int) -> LieAlgebraSpec:
     """Structure constants of H_n (dim 2n+1) or Q_n (dim 4n+3)."""
     family = Family(family)
-    if n < 1:
-        raise InvalidParameterError(f"n must be a positive integer, got {n}")
+    dim = family_dim(family, n)
     if family is Family.HEISENBERG:
-        dim = 2 * n + 1
         struct = tuple((i, n + i, 2 * n, 1.0) for i in range(n))
         center = (2 * n,)
     else:
-        dim = 4 * n + 3
         struct = tuple(
             (a * n + l, b * n + l, 4 * n + z, sign)
             for l in range(n)

@@ -217,9 +217,7 @@ def _cmd_sweep(args, config) -> int:
                                f"{path} (file names keep 6 significant digits of rho)")
         seen[path] = rho
     os.makedirs(args.output_dir, exist_ok=True)
-    max_workers = int(os.environ.get("NILFLOW_THREADS", "0")) or min(len(rhos), 8)
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(rhos), 8)) as pool:
         trajs = list(pool.map(lambda r: _run_flow(family, args.n, r, g0, args), rhos))
 
     summary = []

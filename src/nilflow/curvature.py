@@ -352,8 +352,6 @@ def _diag_kernel(family: Family, n: int):
     ``np.add.reduce``'s order, so the results are bitwise those formulas'.
     """
     family = Family(family)
-    if n < 1:
-        raise InvalidParameterError("n must be positive")
     dim = family_dim(family, n)
     if family is Family.HEISENBERG:
         # Ric_i = -g_N / (2 g_{n+i}), Ric_{n+i} = -g_N / (2 g_i), Ric_N = g_N^2 Sigma / 2

@@ -15,14 +15,14 @@ import numpy as np
 
 from .algebra import Family, LieAlgebraSpec, MetricState, family_dim
 from .curvature import (
+    _check_diag,
     _diag_curvature,
+    _scalar,
     ricci_general,
-    scalar_curvature,
     sigma_heisenberg,
     sigma_quaternion,
 )
 from .errors import (
-    DegenerateMetricError,
     InvalidParameterError,
     NotApplicableError,
     OutOfDomainError,
@@ -52,8 +52,6 @@ class FlowParams:
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
-        if self.n < 1:
-            raise InvalidParameterError("n must be positive")
         if self.dt <= 0.0:
             raise InvalidParameterError("dt must be positive")
         if self.t_end < 0.0:
@@ -144,8 +142,7 @@ class Trajectory:
 def rb_rhs_general(spec: LieAlgebraSpec, metric: MetricState, rho: float) -> np.ndarray:
     """-2 Ric(g) + 2 rho R(g) g for an arbitrary positive-definite metric."""
     ric = ricci_general(spec, metric)
-    scal = float(np.einsum("ij,ij->", metric.inverse, ric))
-    return -2.0 * ric + (2.0 * rho * scal) * metric.g
+    return -2.0 * ric + (2.0 * rho * _scalar(metric, ric)) * metric.g
 
 
 def rhs_diagonal(family: Family, g, n: int, rho: float) -> np.ndarray:
@@ -166,22 +163,14 @@ def integrate(params: FlowParams, g0) -> Trajectory:
     same float operations as the array expressions in the comments; each
     stage's derivative comes from one :func:`rhs_diagonal` call.
     """
-    g0 = np.asarray(g0, dtype=float)
-    if g0.shape != (params.dim,):
-        raise InvalidParameterError(f"g0 must have length {params.dim}")
-    if not np.isfinite(g0).all():
-        raise InvalidParameterError("g0 has a non-finite component")
-    if np.any(g0 <= 0.0):
-        raise DegenerateMetricError("g0 has a nonpositive component")
-
+    g = _check_diag(g0, params.dim)
     fam, n, rho, dt = params.family, params.n, params.rho, params.dt
     n_steps = int(round(params.t_end / dt)) if params.t_end > 0.0 else 0
     stage_steps = (0.5 * dt, 0.5 * dt, dt)  # k2, k3, k4 are taken at g + c * (previous k)
     sixth = dt / 6.0
 
-    g = g0.tolist()
     times = [0.0]
-    states = [g0]  # recorded as arrays: a float list takes 4x an array's bytes
+    states = [np.array(g)]  # recorded as arrays: a float list takes 4x an array's bytes
     reason = TerminationReason.HORIZON
 
     def ok(state: list) -> bool:
@@ -229,13 +218,9 @@ def _failure_reason(state) -> TerminationReason:
 def closed_form_coeffs(family: Family, g0, n: int, rho: float) -> ClosedFormCoeffs:
     """Constants of the exact solutions, after checking their hypotheses."""
     family = Family(family)
-    g0 = np.asarray(g0, dtype=float)
-    if g0.shape != (family_dim(family, n),):
-        raise InvalidParameterError("g0 has the wrong length")
-    if not np.isfinite(g0).all() or not np.isfinite(rho):
-        raise InvalidParameterError("g0 and rho must be finite")
-    if np.any(g0 <= 0.0):
-        raise DegenerateMetricError("g0 has a nonpositive component")
+    g0 = np.array(_check_diag(g0, family_dim(family, n)))
+    if not np.isfinite(rho):
+        raise InvalidParameterError("rho must be finite")
     if family is Family.HEISENBERG:
         products = g0[:n] * g0[n : 2 * n]
         if np.any(np.abs(products - products[0]) > HYPOTHESIS_RTOL * products[0]):
@@ -273,17 +258,23 @@ def closed_form(family: Family, g0, n: int, rho: float, t: float) -> np.ndarray:
     family = Family(family)
     g0 = np.asarray(g0, dtype=float)
     coeffs = closed_form_coeffs(family, g0, n, rho)
+    return _closed_form_at(family, g0, n, coeffs, t)
+
+
+def _closed_form_base(coeffs: ClosedFormCoeffs, t: float) -> float:
+    """The base 1 + b t of the exact solutions' powers, for a finite t in their domain."""
     if not np.isfinite(t):
         raise InvalidParameterError(f"t must be finite, got {t}")
-    return _closed_form_at(family, g0, n, coeffs, t)
+    base = 1.0 + coeffs.b_or_c * t
+    if base <= 0.0:
+        raise OutOfDomainError(f"1 + {coeffs.b_or_c:g} * t is nonpositive at t = {t:g}")
+    return base
 
 
 def _closed_form_at(family: Family, g0: np.ndarray, n: int, coeffs: ClosedFormCoeffs,
                     t: float) -> np.ndarray:
     """The exact solution at time t from the checked ``g0`` and its ``coeffs``."""
-    base = 1.0 + coeffs.b_or_c * t
-    if base <= 0.0:
-        raise OutOfDomainError(f"1 + {coeffs.b_or_c:g} * t is nonpositive at t = {t:g}")
+    base = _closed_form_base(coeffs, t)
     out = np.empty_like(g0)
     if family is Family.HEISENBERG:
         out[: 2 * n] = g0[: 2 * n] * base**coeffs.vector_exponent
@@ -297,13 +288,9 @@ def _closed_form_at(family: Family, g0: np.ndarray, n: int, coeffs: ClosedFormCo
 def conserved_quantities(family: Family, n: int, rho: float, g) -> dict[str, float]:
     """Ratio invariants A_i (Heisenberg only) and the product invariant."""
     family = Family(family)
-    g = np.asarray(g, dtype=float)
-    if g.shape != (family_dim(family, n),):
-        raise InvalidParameterError("metric vector has the wrong length")
-    if not np.isfinite(g).all() or not np.isfinite(rho):
-        raise InvalidParameterError("metric vector and rho must be finite")
-    if np.any(g <= 0.0):
-        raise DegenerateMetricError("metric vector has a nonpositive component")
+    g = np.array(_check_diag(g, family_dim(family, n)))
+    if not np.isfinite(rho):
+        raise InvalidParameterError("rho must be finite")
     out: dict[str, float] = {}
     if family is Family.HEISENBERG:
         if rho == -1.0:

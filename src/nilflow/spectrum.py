@@ -12,8 +12,8 @@ from enum import Enum
 import numpy as np
 
 from .algebra import Family, LieAlgebraSpec, MetricState, family_dim, inner
-from .errors import InvalidParameterError, NotApplicableError, OutOfDomainError
-from .flow import closed_form, closed_form_coeffs
+from .errors import InvalidParameterError, NotApplicableError
+from .flow import _closed_form_base, closed_form, closed_form_coeffs
 from .joperator import j_matrix, theoretical_p_factor
 
 DEDUP_RTOL = 1e-12
@@ -103,9 +103,7 @@ def length_scaling_factors(family: Family, n: int, rho: float, g0, t: float):
     """Squared-norm scaling (vector_factor, center_factor) of the exact solution."""
     family = Family(family)
     coeffs = closed_form_coeffs(family, g0, n, rho)
-    base = 1.0 + coeffs.b_or_c * t
-    if base <= 0.0:
-        raise OutOfDomainError(f"1 + {coeffs.b_or_c:g} * t is nonpositive at t = {t:g}")
+    base = _closed_form_base(coeffs, t)
     return base**coeffs.vector_exponent, base**coeffs.center_exponent
 
 

@@ -13,6 +13,7 @@ from nilflow import (
     build_group,
     inner,
 )
+from nilflow.algebra import family_dim
 
 
 def test_heisenberg_1_structure():
@@ -55,6 +56,14 @@ def test_bracket_h1():
 def test_build_group_rejects_n_zero():
     with pytest.raises(InvalidParameterError):
         build_group(Family.HEISENBERG, 0)
+
+
+def test_family_dim_takes_names_and_rejects_n_below_one():
+    assert family_dim("heisenberg", 1) == 3
+    assert family_dim("quaternion", 2) == 11
+    for family, n in ((Family.QUATERNION, 0), ("heisenberg", -1)):
+        with pytest.raises(InvalidParameterError, match=f"n must be a positive integer, got {n}"):
+            family_dim(family, n)
 
 
 def test_bracket_rejects_length_mismatch():

@@ -111,6 +111,22 @@ def test_invalid_parameters_exit_2(tmp_path):
                 "--g0", "1,-2,1", "--output", str(out)]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["curvature", "--family", "heisenberg", "--n=-1"],
+    ["flow", "--family", "heisenberg", "--n=-1"],
+    ["spectrum", "--family", "heisenberg", "--n=-1"],
+    ["sweep", "--family", "heisenberg", "--n=-1"],
+    ["curvature", "--family", "quaternion", "--n=0", "--g0", "1"],
+], ids=["curvature", "flow", "spectrum", "sweep", "curvature-g0"])
+def test_n_below_one_exit_2_naming_n(args, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run(args + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "n must be a positive integer" in err
+    assert "negative dimensions" not in err and "--g0" not in err
+    assert not out.exists()
+
+
 def test_flow_time_grid_not_whole_steps_exit_2(tmp_path, capsys):
     # t_end = 1, dt = 0.3 would stop at t = 0.9 and still report a full horizon
     out = tmp_path / "traj.csv"
@@ -205,8 +221,7 @@ def test_spectrum_non_finite_t_exit_2(t, tmp_path, capsys):
 
 # --- sweep ---------------------------------------------------------------
 
-def test_sweep(tmp_path, monkeypatch):
-    monkeypatch.setenv("NILFLOW_THREADS", "2")
+def test_sweep(tmp_path):
     outdir = tmp_path / "runs"
     summary = tmp_path / "sweep.json"
     assert run(["sweep", "--family", "heisenberg", "--n", "1",

@@ -264,6 +264,11 @@ def test_analytic_agreement(family, ns, rho):
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             traj = integrate(params, np.ones(family_dim(family, n)))
+        # the float RK4 loop is out of errstate's reach: a run cut short by an
+        # overflow or a degenerate state must fail here, not pass on fewer samples
+        assert traj.terminated_reason is TerminationReason.HORIZON
+        assert traj.times[-1] == 2.0
+        assert np.isfinite(traj.states).all()
         assert closed_form_error(traj) < TOLERANCE["closed_form_agreement"]
 
 

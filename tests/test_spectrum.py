@@ -125,6 +125,12 @@ def test_length_scaling_q1():
     assert cen == pytest.approx(9.0 ** (-1 / 4), rel=1e-14)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_length_scaling_rejects_non_finite_t(bad):
+    with pytest.raises(InvalidParameterError, match="t must be finite"):
+        length_scaling_factors(Family.HEISENBERG, 1, 0.0, np.ones(3), bad)
+
+
 def test_length_scaling_matches_closed_form():
     g0 = np.ones(5)
     for t in (0.0, 0.5, 2.0):
