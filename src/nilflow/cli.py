@@ -20,6 +20,7 @@ from . import __version__
 from .algebra import Family, MetricState, build_group, family_dim
 from .checks import CHECKS, VerifyCase
 from .curvature import (
+    _check_diag,
     curvature_report,
     literal_discrepancy,
     ricci_specialized_diag,
@@ -83,12 +84,7 @@ def _envelope(config: dict, result: dict) -> dict:
 def _parse_g0(text: str, dim: int) -> np.ndarray:
     if text == "identity":
         return np.ones(dim)
-    values = np.array([float(x) for x in text.split(",")])
-    if values.shape != (dim,):
-        raise NilflowError(f"--g0 needs {dim} comma-separated values, got {len(values)}")
-    if not np.isfinite(values).all():
-        raise NilflowError("--g0 entries must be finite")
-    return values
+    return np.array(_check_diag([float(x) for x in text.split(",")], dim))
 
 
 def _parse_rho_list(text: str) -> list[float]:

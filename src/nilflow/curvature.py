@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Family, LieAlgebraSpec, MetricState, family_dim
-from .errors import DegenerateMetricError, InvalidParameterError
+from .errors import DegenerateMetricError, InvalidParameterError, NotApplicableError
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,6 @@ def _einsum(subscripts: str, *ops: np.ndarray) -> np.ndarray:
     return np.einsum(subscripts, *ops, optimize=_path(subscripts, tuple(op.shape for op in ops)))
 
 
-# The d^4 tensors are built in blocks of rows of their first index, each about
-# this many bytes, so the literal-formula report holds O(d^3) memory.  A tensor
-# that fits in one block (d <= 19) is contracted whole.  Smaller blocks mean
-# more and smaller matrix products, which cost more per flop: 512 KB blocks
-# made the curvature_ladder benchmark's pass about 40% slower (2-core x86 VM).
-_BLOCK_BYTES = 1 << 20
-
-
 @functools.lru_cache(maxsize=1024)
 def _stages(subscripts: str, shapes: tuple) -> tuple:
     """The pairwise steps of ``_einsum(subscripts, ...)`` at these shapes, as (positions, subscripts).
@@ -73,55 +65,30 @@ def _stages(subscripts: str, shapes: tuple) -> tuple:
     return tuple((step[0], step[1] if isinstance(step[1], str) else step[2]) for step in steps)
 
 
-def _pairwise(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The step np.einsum makes for ``subscripts`` on (a, b).
+def _join(subscripts: str, a: np.ndarray, b: np.ndarray) -> tuple:
+    """The terms of ``np.einsum(subscripts, a, b)``, a contraction over one index, unsummed.
 
-    With the explicit path (0, 1), np.einsum pops its second operand first,
-    so the pair goes in swapped to arrive as (a, b).
+    Every nonzero entry of ``a`` times every nonzero entry of ``b`` with the
+    same summed index.  Returns the output index of each product (one row per
+    output subscript) and its value.
     """
     inputs, output = subscripts.split("->")
     left, right = inputs.split(",")
-    return np.einsum(f"{right},{left}->{output}", b, a, optimize=["einsum_path", (0, 1)])
-
-
-def _row_contraction(subscripts: str, *ops: np.ndarray):
-    """``rows(index, block)``: the rows ``block`` of output ``index`` of ``_einsum(subscripts, *ops)``.
-
-    ``block=None`` is the whole contraction, made by ``_einsum`` itself.  Otherwise
-    the full-shape path is kept: its first pairwise step runs once, on the full
-    operands, and only the last step sees sliced operands.  Each element then
-    goes through the same float operations as in the whole contraction, so the
-    blocks are bitwise its rows; a path searched for the sliced shapes can
-    order the sums differently.
-    """
-    last = None
-
-    def rows(index: str, block: slice | None) -> np.ndarray:
-        nonlocal last
-        if block is None:
-            return _einsum(subscripts, *ops)
-        if last is None:
-            operands = list(ops)
-            (first, step), (final, final_step) = _stages(subscripts,
-                                                         tuple(op.shape for op in ops))
-            operands.append(_pairwise(step, *[operands.pop(x) for x in first]))
-            last = final_step, [operands.pop(x) for x in final]
-        step, operands = last
-        sliced = [op[(slice(None),) * term.index(index) + (block,)] if index in term else op
-                  for term, op in zip(step.split("->")[0].split(","), operands)]
-        return _pairwise(step, *sliced)
-
-    return rows
-
-
-def _blocks(lo: int, hi: int, size: int) -> list:
-    return [slice(i, min(i + size, hi)) for i in range(lo, hi, size)]
-
-
-def _row_blocks(dim: int) -> list:
-    """Slices of the first index, each of about _BLOCK_BYTES of a d^4 tensor; [None] if one fits."""
-    size = max(1, _BLOCK_BYTES // (8 * dim**3))
-    return [None] if size >= dim else _blocks(0, dim, size)
+    (summed,) = set(left) & set(right)
+    # b with the summed axis first, so its nonzero entries come sorted by it
+    k = right.index(summed)
+    b = b.transpose(k, *(i for i in range(b.ndim) if i != k))
+    right = summed + right.replace(summed, "")
+    at_a, at_b = np.nonzero(a), np.nonzero(b)
+    # each entry of a, once per entry of b in the run of its summed index
+    ma = at_a[left.index(summed)]
+    count = np.bincount(at_b[0], minlength=len(b))
+    reps = count[ma]
+    pa = np.repeat(np.arange(len(ma)), reps)
+    pb = np.repeat((count.cumsum() - count)[ma] - (reps.cumsum() - reps), reps) + np.arange(len(pa))
+    at = np.array([at_a[left.index(x)][pa] if x in left else at_b[right.index(x)][pb]
+                   for x in output])
+    return at, a[at_a][pa] * b[at_b][pb]
 
 
 def adjoint_coeffs(spec: LieAlgebraSpec, metric: MetricState) -> np.ndarray:
@@ -137,24 +104,63 @@ def christoffel(spec: LieAlgebraSpec, metric: MetricState) -> ConnectionCoeffs:
     return ConnectionCoeffs(gamma=gamma, adjoint=a)
 
 
-def _riemann_rows(spec: LieAlgebraSpec, metric: MetricState, gamma: np.ndarray):
-    """``rows(block)``: rows ``block`` of the first index of :func:`riemann` (None: all)."""
-    c = spec.structure_dense
-    g = metric.g
-    t1 = _row_contraction("ikm,jlp,mp->ijkl", gamma, gamma, g)
-    t3 = _row_contraction("ijm,mkp,pl->ijkl", c, gamma, g)
+# The d^4 tensors as data: rows of (product subscripts summed over (x, y, g),
+# (x, y), uses), where a use is (sign, axes of the term in the product).  The
+# terms are summed in this order, the first one scaled by its sign.
+_RIEMANN = (  # R = t1 - t1^T - t3
+    ("ikm,jlp,mp->ijkl", ("gamma", "gamma"), ((1.0, None), (-1.0, (1, 0, 2, 3)))),
+    ("ijm,mkp,pl->ijkl", ("c", "gamma"), ((-1.0, None),)),
+)
+# The printed formula for 4 R_ijkl, summed term by term in its order.  Its first
+# three terms are the one product C_ijp g_pq C_klq with permuted indices, and
+# its last two a product of S, so each product is contracted once.  The fifth
+# term repeats an index three times and is summed as written.
+_LITERAL_RIEMANN = (
+    ("ijp,klq,pq->ijkl", ("c", "c"), ((2.0, None), (1.0, (0, 2, 1, 3)), (-1.0, (0, 2, 3, 1)))),
+    ("ijp,pkq,ql->ijkl", ("c", "c"), ((-1.0, None),)),
+    ("ijp,plq,pk->ijkl", ("c", "c"), ((1.0, None),)),
+    ("klp,piq,qj->ijkl", ("c", "c"), ((-1.0, None),)),
+    ("klp,pjq,qi->ijkl", ("c", "c"), ((1.0, None),)),
+    ("ikp,jlq,pq->ijkl", ("s", "s"), ((1.0, None), (-1.0, (0, 1, 3, 2)))),
+)
 
-    def rows(block: slice | None = None) -> np.ndarray:
-        if block is None:  # t1 once, and its transpose
-            t = t1("i", None)
-            r = t - t.transpose(1, 0, 2, 3)
-        else:
-            r = t1("i", block)
-            r -= t1("j", block).transpose(1, 0, 2, 3)
-        r -= t3("i", block)
-        return r
 
-    return rows
+def _dense(terms: tuple, x: dict, g: np.ndarray) -> np.ndarray:
+    """The sum of ``terms`` as a whole d^4 array."""
+    total = None
+    for subscripts, names, uses in terms:
+        p = _einsum(subscripts, *(x[name] for name in names), g)
+        for sign, axes in uses:
+            term = p if axes is None else p.transpose(axes)
+            if total is None:
+                total = sign * term
+            elif sign > 0:
+                total += term
+            else:
+                total -= term
+    return total
+
+
+def _nonzero_terms(terms: tuple, x: dict, g: np.ndarray) -> tuple:
+    """The nonzero entries of each of ``terms``, in their order: (flat d^4 indices, signed values).
+
+    Each product's first pairwise step (``_stages``) is contracted whole, and its
+    last step by :func:`_join`.  On a diagonal metric in H_n or Q_n every entry
+    of each step has at most one nonzero term, so each value has the bits of
+    the same entry in :func:`_dense`, and adding the values of an index in this
+    order rounds as its sum does.
+    """
+    stride = g.shape[0] ** np.arange(3, -1, -1)
+    indices, values = [], []
+    for subscripts, names, uses in terms:
+        operands = [*(x[name] for name in names), g]
+        (first, step), (last, last_step) = _stages(subscripts, tuple(op.shape for op in operands))
+        operands.append(np.einsum(step, *[operands.pop(i) for i in first]))
+        at, value = _join(last_step, *[operands.pop(i) for i in last])
+        for sign, axes in uses:
+            indices.append(stride @ (at if axes is None else at[list(axes)]))
+            values.append(sign * value)
+    return np.concatenate(indices), np.concatenate(values)
 
 
 def riemann(spec: LieAlgebraSpec, metric: MetricState) -> np.ndarray:
@@ -164,48 +170,8 @@ def riemann(spec: LieAlgebraSpec, metric: MetricState) -> np.ndarray:
     - <nabla_[X,Y] Z, W>, which for left-invariant fields is the curvature of
     the connection commutator: R = t1 - t1^T - t3.
     """
-    return _riemann_rows(spec, metric, christoffel(spec, metric).gamma)()
-
-
-# The printed formula for 4 R_ijkl, summed term by term in its order.  Its first
-# three terms are the one product C_ijp g_pq C_klq with permuted indices, and
-# its last two a product of S, so each product is contracted once.  Rows of
-# (product subscripts summed over (x, x, g), x, uses); a use is (sign, axes of
-# the term in the product).  The fifth term repeats an index three times and is
-# summed as written.
-_LITERAL_RIEMANN = (
-    ("ijp,klq,pq->ijkl", "c", ((2.0, None), (1.0, (0, 2, 1, 3)), (-1.0, (0, 2, 3, 1)))),
-    ("ijp,pkq,ql->ijkl", "c", ((-1.0, None),)),
-    ("ijp,plq,pk->ijkl", "c", ((1.0, None),)),
-    ("klp,piq,qj->ijkl", "c", ((-1.0, None),)),
-    ("klp,pjq,qi->ijkl", "c", ((1.0, None),)),
-    ("ikp,jlq,pq->ijkl", "s", ((1.0, None), (-1.0, (0, 1, 3, 2)))),
-)
-
-
-def _literal_rows(spec: LieAlgebraSpec, metric: MetricState, adjoint: np.ndarray):
-    """``rows(block)``: rows ``block`` of the first index of :func:`riemann_literal` (None: all)."""
-    x = {"c": spec.structure_dense, "s": adjoint + adjoint.transpose(1, 0, 2)}
-    products = [(_row_contraction(subscripts, x[name], x[name], metric.g), uses)
-                for subscripts, name, uses in _LITERAL_RIEMANN]
-
-    def rows(block: slice | None = None) -> np.ndarray:
-        four_r = None
-        for product, uses in products:
-            p = product("i", block)
-            for sign, axes in uses:
-                term = p if axes is None else p.transpose(axes)
-                if four_r is None:
-                    four_r = sign * term
-                elif sign > 0:
-                    four_r += term
-                else:
-                    four_r -= term
-            del p, term  # freed before the next product: at most two blocks are live
-        four_r *= 0.25
-        return four_r
-
-    return rows
+    x = {"c": spec.structure_dense, "gamma": christoffel(spec, metric).gamma}
+    return _dense(_RIEMANN, x, metric.g)
 
 
 def riemann_literal(spec: LieAlgebraSpec, metric: MetricState) -> np.ndarray:
@@ -214,7 +180,11 @@ def riemann_literal(spec: LieAlgebraSpec, metric: MetricState) -> np.ndarray:
     One printed term repeats an index three times; it is summed as written.
     Report-only: compare against :func:`riemann`.
     """
-    return _literal_rows(spec, metric, adjoint_coeffs(spec, metric))()
+    a = adjoint_coeffs(spec, metric)
+    four_r = _dense(_LITERAL_RIEMANN, {"c": spec.structure_dense, "s": a + a.transpose(1, 0, 2)},
+                    metric.g)
+    four_r *= 0.25
+    return four_r
 
 
 def ricci_general(spec: LieAlgebraSpec, metric: MetricState) -> np.ndarray:
@@ -258,36 +228,50 @@ def ricci_literal(spec: LieAlgebraSpec, metric: MetricState) -> np.ndarray:
     return 0.25 * four_ric
 
 
-def literal_discrepancy(spec: LieAlgebraSpec, metric: MetricState, tol: float = 1e-10,
+# literal_discrepancy flags a deviation above this
+_LITERAL_TOL = 1e-10
+
+
+def _riemann_entries(spec: LieAlgebraSpec, metric: MetricState) -> tuple:
+    """``(keys, r, four_r)``: :func:`riemann` and :func:`riemann_literal` at flat d^4 indices.
+
+    For a diagonal ``metric`` the entries at ``keys`` are bit for bit those of
+    the whole tensors, and every other entry of both is zero.  No d^4 array is
+    built.
+    """
+    conn = christoffel(spec, metric)
+    c, a = spec.structure_dense, conn.adjoint
+    canonical = _nonzero_terms(_RIEMANN, {"c": c, "gamma": conn.gamma}, metric.g)
+    literal = _nonzero_terms(_LITERAL_RIEMANN, {"c": c, "s": a + a.transpose(1, 0, 2)}, metric.g)
+    keys, inverse = np.unique(np.concatenate([canonical[0], literal[0]]), return_inverse=True)
+    # bincount adds each index's values in input order: the order of the terms
+    split = len(canonical[0])
+    r = np.bincount(inverse[:split], weights=canonical[1], minlength=len(keys))
+    four_r = np.bincount(inverse[split:], weights=literal[1], minlength=len(keys))
+    four_r *= 0.25
+    return keys, r, four_r
+
+
+def literal_discrepancy(spec: LieAlgebraSpec, metric: MetricState,
                         report: CurvatureReport | None = None):
-    """Max |literal - canonical| for the printed Riemann and Ricci formulas.
+    """Max |literal - canonical| for the printed Riemann and Ricci formulas, on a diagonal metric.
 
     The canonical Ricci matrix is that of ``report``, which must belong to
     ``metric``; without one, a :func:`curvature_report` is built.  Both Riemann
-    tensors are taken a block of first-index rows at a time (_BLOCK_BYTES), so
-    the memory held is O(d^3).
+    tensors are taken from their nonzero entries only, which a metric with a
+    nonzero off-diagonal entry does not keep sparse: it raises
+    NotApplicableError.
     Returns (riemann_dev, ricci_dev, flagged).
     """
+    g = metric.g
+    if np.count_nonzero(g - np.diag(g.diagonal())):
+        raise NotApplicableError("the literal-formula report needs a diagonal metric")
     if report is None:
         report = curvature_report(spec, metric)
-    conn = christoffel(spec, metric)
-    canonical = _riemann_rows(spec, metric, conn.gamma)
-    literal = _literal_rows(spec, metric, conn.adjoint)
-    del conn  # the kernels keep what they use; the adjoint is freed
-
-    def block_dev(block: slice | None) -> float:
-        dev = literal(block)
-        if block is None:
-            dev -= canonical(None)
-        else:  # the canonical rows in two halves: at most two blocks' bytes are live
-            lo, hi = block.start, block.stop
-            for rows in _blocks(lo, hi, (hi - lo + 1) // 2):
-                dev[rows.start - lo : rows.stop - lo] -= canonical(rows)
-        return np.abs(dev, out=dev).max()
-
-    r_dev = float(np.max([block_dev(block) for block in _row_blocks(spec.dim)]))
+    _, r, four_r = _riemann_entries(spec, metric)
+    r_dev = float(np.abs(four_r - r).max(initial=0.0))
     ric_dev = float(np.abs(ricci_literal(spec, metric) - report.ricci).max())
-    return r_dev, ric_dev, bool(max(r_dev, ric_dev) > tol)
+    return r_dev, ric_dev, bool(max(r_dev, ric_dev) > _LITERAL_TOL)
 
 
 def _scalar(metric: MetricState, ric: np.ndarray) -> float:

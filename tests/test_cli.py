@@ -127,6 +127,18 @@ def test_n_below_one_exit_2_naming_n(args, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["curvature", "flow", "spectrum", "sweep"])
+def test_nonpositive_g0_exit_2_with_one_message(subcommand, tmp_path, capsys):
+    out = tmp_path / "x"
+    args = [subcommand, "--family", "heisenberg", "--n", "1", "--g0", "1,-2,1",
+            "--output", str(out)]
+    if subcommand == "sweep":
+        args += ["--output-dir", str(tmp_path / "runs")]
+    assert run(args) == 2
+    assert "diagonal metric has a nonpositive component" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "runs").exists()
+
+
 def test_flow_time_grid_not_whole_steps_exit_2(tmp_path, capsys):
     # t_end = 1, dt = 0.3 would stop at t = 0.9 and still report a full horizon
     out = tmp_path / "traj.csv"

@@ -10,6 +10,7 @@ from nilflow import (
     Family,
     InvalidParameterError,
     MetricState,
+    NotApplicableError,
     adjoint_coeffs,
     bracket,
     basis_vector,
@@ -273,7 +274,7 @@ def test_literal_formulas_agree_q3():
 
 
 def test_curvature_command_builds_no_riemann_tensor(tmp_path, monkeypatch):
-    # the literal-formula report takes both tensors a block of rows at a time
+    # the literal-formula report takes both tensors from their nonzero entries
     calls = []
 
     def counting(function):
@@ -304,32 +305,36 @@ def test_curvature_command_memory_stays_below_one_d4_tensor(tmp_path):
     assert peak < 8 * dim**4
 
 
-@pytest.mark.parametrize("dim", [3, 19, 20, 27, 35, 83])
-def test_row_blocks_partition_the_first_index(dim):
-    budget = curvature_module._BLOCK_BYTES
-    blocks = curvature_module._row_blocks(dim)
-    if 8 * dim**4 <= budget:  # the tensor fits in one block: contracted whole
-        assert blocks == [None]
-        return
-    assert [i for block in blocks for i in range(dim)[block]] == list(range(dim))
-    assert all(8 * dim**3 * (b.stop - b.start) <= max(budget, 8 * dim**3) for b in blocks)
+def diagonal_metrics(dim, rng):
+    """Entries spread over e^+-5, uniform(0.5, 2), identity, and one metric scaled by e^+-20."""
+    base = rng.uniform(0.5, 2.0, dim)
+    return [np.exp(rng.uniform(-5.0, 5.0, dim)), rng.uniform(0.5, 2.0, dim), np.ones(dim),
+            np.exp(20.0) * base, np.exp(-20.0) * base]
 
 
-@pytest.mark.parametrize("family, n", [(f, n) for f in Family for n in range(1, 9)])
-def test_row_blocks_are_bitwise_rows_of_the_whole_tensors(family, n):
+@pytest.mark.parametrize("family, n", [(f, n) for f in Family for n in range(1, 13)])
+def test_nonzero_entries_are_bitwise_the_whole_tensors(family, n):
     spec = build_group(family, n)
     dim = spec.dim
-    rng = np.random.default_rng(100 + n)
-    for metric in (MetricState.from_diag(rng.uniform(0.5, 2.0, dim)), random_spd_metric(dim, rng)):
-        conn = christoffel(spec, metric)
-        whole = {"canonical": riemann(spec, metric),
-                 "literal": curvature_module.riemann_literal(spec, metric)}
-        for size in (1, 3, dim):  # one row, several rows, all rows
-            kernels = {"canonical": curvature_module._riemann_rows(spec, metric, conn.gamma),
-                       "literal": curvature_module._literal_rows(spec, metric, conn.adjoint)}
-            for name, rows in kernels.items():
-                blocks = [rows(slice(lo, min(lo + size, dim))) for lo in range(0, dim, size)]
-                assert np.array_equal(np.concatenate(blocks), whole[name]), (name, size)
+    for g0 in diagonal_metrics(dim, np.random.default_rng(200 + n)):
+        metric = MetricState.from_diag(g0)
+        keys, r, four_r = curvature_module._riemann_entries(spec, metric)
+        whole = {}  # built one at a time: at Q12 (d = 51) each is 54 MB
+        for name, entries in (("riemann", r), ("riemann_literal", four_r)):
+            whole[name] = getattr(curvature_module, name)(spec, metric)
+            scattered = np.zeros(dim**4)
+            scattered[keys] = entries
+            assert np.array_equal(scattered.reshape(whole[name].shape), whole[name]), name
+            del scattered
+        dev = whole["riemann_literal"]
+        dev -= whole["riemann"]
+        assert literal_discrepancy(spec, metric)[0] == float(np.abs(dev, out=dev).max())
+
+
+def test_literal_discrepancy_rejects_a_non_diagonal_metric():
+    metric = random_spd_metric(Q1.dim, np.random.default_rng(5))
+    with pytest.raises(NotApplicableError):
+        literal_discrepancy(Q1, metric)
 
 
 def test_verify_command_builds_each_ricci_matrix_once(tmp_path, monkeypatch):
