@@ -15,7 +15,6 @@ from .algebra import (
     bracket,
     build_group,
     inner,
-    norm,
 )
 from .curvature import (
     ConnectionCoeffs,
@@ -66,7 +65,6 @@ from .joperator import (
 from .spectrum import (  # noqa: I001  (must come before the `spectrum` rebind below)
     GeodesicData,
     PeriodSet,
-    PeriodSource,
     central_periods,
     geodesic_point,
     length_scaling_factors,

@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -37,9 +38,9 @@ class Family(str, Enum):
 
 
 def family_dim(family: Family, n: int) -> int:
-    """Dimension of H_n (2n+1) or Q_n (4n+3), for a :class:`Family` or its name; n >= 1."""
+    """Dimension of H_n (2n+1) or Q_n (4n+3), for a :class:`Family` or its name; integer n >= 1."""
     family = Family(family)
-    if n < 1:
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
         raise InvalidParameterError(f"n must be a positive integer, got {n}")
     return 2 * n + 1 if family is Family.HEISENBERG else 4 * n + 3
 
@@ -108,7 +109,6 @@ class MetricState:
 
     g: np.ndarray
     t: float = 0.0
-    diagonal_flag: bool = False
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
@@ -121,8 +121,6 @@ class MetricState:
             raise InvalidParameterError("metric must be symmetric")
         if np.linalg.eigvalsh(g).min() <= EPS_POS:
             raise DegenerateMetricError("metric is not positive definite")
-        if self.diagonal_flag and np.any(g - np.diag(np.diag(g)) != 0.0):
-            raise InvalidParameterError("diagonal_flag set but off-diagonal entries nonzero")
         if not (np.isfinite(self.t) and self.t >= 0.0):
             raise InvalidParameterError(f"flow time must be finite and nonnegative, got {self.t}")
 
@@ -131,15 +129,11 @@ class MetricState:
         diag = np.asarray(diag, dtype=float)
         if diag.ndim != 1:
             raise InvalidParameterError("diagonal metric must be a vector")
-        return cls(g=np.diag(diag), t=t, diagonal_flag=True)
+        return cls(g=np.diag(diag), t=t)
 
     @property
     def dim(self) -> int:
         return self.g.shape[0]
-
-    @property
-    def diag(self) -> np.ndarray:
-        return np.diag(self.g)
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -196,10 +190,6 @@ def inner(metric: MetricState, x, y) -> float:
     if x.shape != (metric.dim,) or y.shape != (metric.dim,):
         raise InvalidParameterError("vector length does not match metric dimension")
     return float(x @ metric.g @ y)
-
-
-def norm(metric: MetricState, x) -> float:
-    return float(np.sqrt(inner(metric, x, x)))
 
 
 def basis_vector(dim: int, i: int) -> np.ndarray:

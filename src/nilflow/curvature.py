@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Family, LieAlgebraSpec, MetricState, family_dim
+from .algebra import Family, LieAlgebraSpec, MetricState, build_group
 from .errors import DegenerateMetricError, InvalidParameterError, NotApplicableError
 
 
@@ -32,13 +32,6 @@ class CurvatureReport:
     scalar: float
 
 
-@functools.lru_cache(maxsize=1024)
-def _path(subscripts: str, shapes: tuple) -> list:
-    # einsum_path reads only the operands' shapes; zero-stride views allocate nothing
-    dummies = [np.broadcast_to(0.0, shape) for shape in shapes]
-    return np.einsum_path(subscripts, *dummies, optimize="optimal")[0]
-
-
 def _einsum(subscripts: str, *ops: np.ndarray) -> np.ndarray:
     """np.einsum along the optimal contraction order, searched once per (subscripts, shapes).
 
@@ -48,7 +41,8 @@ def _einsum(subscripts: str, *ops: np.ndarray) -> np.ndarray:
     """
     if len(ops) < 3:
         return np.einsum(subscripts, *ops)
-    return np.einsum(subscripts, *ops, optimize=_path(subscripts, tuple(op.shape for op in ops)))
+    stages = _stages(subscripts, tuple(op.shape for op in ops))
+    return np.einsum(subscripts, *ops, optimize=["einsum_path", *(pos for pos, _ in stages)])
 
 
 @functools.lru_cache(maxsize=1024)
@@ -58,6 +52,7 @@ def _stages(subscripts: str, shapes: tuple) -> tuple:
     Each step pops the operands at ``positions`` from the operand list, in that
     order, and appends their contraction.
     """
+    # einsum_path reads only the operands' shapes; zero-stride views allocate nothing
     dummies = [np.broadcast_to(0.0, shape) for shape in shapes]
     steps = np.einsum_path(subscripts, *dummies, optimize="optimal", einsum_call=True)[1]
     # numpy >= 2.3 lists (positions, subscripts, ...); older versions put the
@@ -335,36 +330,37 @@ def _diag_kernel(family: Family, n: int):
     order, as the block-slice formulas on arrays, with each sum in
     ``np.add.reduce``'s order, so the results are bitwise those formulas'.
     """
-    family = Family(family)
-    dim = family_dim(family, n)
-    if family is Family.HEISENBERG:
-        # Ric_i = -g_N / (2 g_{n+i}), Ric_{n+i} = -g_N / (2 g_i), Ric_N = g_N^2 Sigma / 2
-        den = (*range(n, 2 * n), *range(n))
+    spec = build_group(family, n)
+    # the bracket table in its order: each V entry's (center, partner) pairs, each center's (i, j)
+    partners = {i: [] for i in spec.complement_indices}
+    brackets = {k: [] for k in spec.center_indices}
+    for i, j, k, _ in spec.structure:
+        partners[i].append((k, j))
+        partners[j].append((k, i))
+        brackets[k].append((i, j))
+    if spec.family is Family.HEISENBERG:
+        # Ric_i = -g_N / (2 g_j) for i's partner j, Ric_N = g_N^2 Sigma / 2, Sigma = sum 1/(g_i g_j)
+        den = [j for pairs in partners.values() for _, j in pairs]
+        (sigma_at,) = brackets.values()
 
         def kernel(g):
             g_n = g[2 * n]
-            sigma = _add_reduce([1.0 / (a * b) for a, b in zip(g[:n], g[n : 2 * n])])
+            sigma = _add_reduce([1.0 / (g[a] * g[b]) for a, b in sigma_at])
             half = -0.5 * g_n
             r = [half / g[i] for i in den]
             r.append(0.5 * g_n**2 * sigma)
             return r, half * sigma, sigma
 
-        kernel.dim = dim
+        kernel.dim = spec.dim
         return kernel
 
-    # V block b (entries b*n .. b*n+n-1) has Ric = -(z_a/v_p + z_b/v_q + z_c/v_r)/2,
-    # summed left to right; terms[b] lists its (center slot, V block) pairs, and
-    # ricci_at lists each entry's (z_a, v_p, z_b, v_q, z_c, v_r) as indices into g
-    terms = (((0, 1), (2, 2), (1, 3)), ((0, 0), (1, 2), (2, 3)),
-             ((2, 0), (1, 1), (0, 3)), ((1, 0), (2, 1), (0, 2)))
-    ricci_at = [tuple(x for z, v in row for x in (4 * n + z, v * n + i))
-                for row in terms for i in range(n)]
-    # Sigma_k = sum_i 1/(v_p v_q) + 1/(v_r v_s) over the V block pairs ((p, q), (r, s));
-    # sigma_at lists the n terms of Sigma_1, then Sigma_2's and Sigma_3's, each as
-    # (v_p, v_q, v_r, v_s) indices into g
-    blocks = (((0, 1), (2, 3)), ((0, 3), (1, 2)), ((0, 2), (1, 3)))
-    sigma_at = [tuple(b * n + i for pair in row for b in pair)
-                for row in blocks for i in range(n)]
+    # a V entry has Ric = -(z_a/v_p + z_b/v_q + z_c/v_r)/2 over its (center, partner) pairs,
+    # summed left to right; ricci_at lists each entry's (z_a, v_p, z_b, v_q, z_c, v_r)
+    ricci_at = [tuple(x for pair in pairs for x in pair) for pairs in partners.values()]
+    # Sigma_k sums 1/(v_p v_q) + 1/(v_r v_s) over each copy's two consecutive brackets (p, q),
+    # (r, s) into center k; sigma_at lists Sigma_1's n terms, then Sigma_2's and Sigma_3's
+    sigma_at = [(*pq, *rs) for pairs in brackets.values()
+                for pq, rs in zip(pairs[::2], pairs[1::2])]
 
     def kernel(g):
         r = [-0.5 * (g[za] / g[vp] + g[zb] / g[vq] + g[zc] / g[vr])
@@ -376,7 +372,7 @@ def _diag_kernel(family: Family, n: int):
         r += (0.5 * z1**2 * s1, 0.5 * z2**2 * s2, 0.5 * z3**2 * s3)
         return r, -0.5 * sigma_prime, (sigma_prime, s1, s2, s3)
 
-    kernel.dim = dim
+    kernel.dim = spec.dim
     return kernel
 
 

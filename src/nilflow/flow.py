@@ -215,19 +215,24 @@ def _failure_reason(state) -> TerminationReason:
     return TerminationReason.DEGENERATE
 
 
+def _rate(family: Family, n: int, rho: float) -> float:
+    """n + 2 - n rho on H_n, 6 + 2n - 6n rho on Q_n: the exact solutions' exponent denominator."""
+    return n + 2 - n * rho if family is Family.HEISENBERG else 6.0 + 2 * n - 6 * n * rho
+
+
 def closed_form_coeffs(family: Family, g0, n: int, rho: float) -> ClosedFormCoeffs:
     """Constants of the exact solutions, after checking their hypotheses."""
     family = Family(family)
     g0 = np.array(_check_diag(g0, family_dim(family, n)))
     if not np.isfinite(rho):
         raise InvalidParameterError("rho must be finite")
+    denom = _rate(family, n, rho)
     if family is Family.HEISENBERG:
         products = g0[:n] * g0[n : 2 * n]
         if np.any(np.abs(products - products[0]) > HYPOTHESIS_RTOL * products[0]):
             raise NotApplicableError(
                 "exact solution needs g_i(0) g_{n+i}(0) constant across i"
             )
-        denom = n + 2 - n * rho
         if denom == 0.0:
             raise SingularExponentError("exponent denominator n+2-n*rho vanishes")
         b = denom * g0[2 * n] / products[0]
@@ -242,7 +247,6 @@ def closed_form_coeffs(family: Family, g0, n: int, rho: float) -> ClosedFormCoef
         raise NotApplicableError(
             "exact solution needs equal non-center components and equal center components"
         )
-    denom = 6.0 + 2 * n - 6 * n * rho
     if denom == 0.0:
         raise SingularExponentError("exponent denominator 6+2n-6n*rho vanishes")
     c = g0[4 * n] / g0[0] ** 2 * denom
@@ -321,8 +325,7 @@ def invariant_drift(traj: Trajectory) -> dict[str, float]:
     return drift
 
 
-def center_growth_bound(family: Family, n: int, traj: Trajectory,
-                        sigma0: float | None = None) -> dict:
+def center_growth_bound(family: Family, n: int, traj: Trajectory) -> dict:
     """Check g_center(t) >= 1/(Sigma(0) t + g_center(0)^-1) along a trajectory.
 
     Valid for rho < 0.  Also reports the trapezoid running integral of each
@@ -333,11 +336,11 @@ def center_growth_bound(family: Family, n: int, traj: Trajectory,
         raise NotApplicableError("the center lower bound requires rho < 0")
     g0 = traj.states[0]
     if family is Family.HEISENBERG:
-        sigmas = [sigma_heisenberg(g0, n) if sigma0 is None else sigma0]
+        sigmas = [sigma_heisenberg(g0, n)]
         centers = [2 * n]
     else:
         _, s1, s2, s3 = sigma_quaternion(g0, n)
-        sigmas = [s1, s2, s3] if sigma0 is None else [sigma0] * 3
+        sigmas = [s1, s2, s3]
         centers = [4 * n, 4 * n + 1, 4 * n + 2]
 
     slacks = []

@@ -16,6 +16,7 @@ import numpy as np
 
 from .algebra import Family, LieAlgebraSpec, MetricState, _bracket
 from .errors import InvalidParameterError, OutOfDomainError
+from .flow import _rate
 
 CLUSTER_RTOL = 1e-9
 TYPE_ATOL = 1e-10
@@ -196,10 +197,7 @@ def theoretical_p_factor(family: Family, n: int, rho: float, t: float) -> float:
     family = Family(family)
     if not np.isfinite([rho, t]).all():
         raise InvalidParameterError(f"rho and t must be finite, got rho = {rho}, t = {t}")
-    if family is Family.HEISENBERG:
-        denom = (n + 2 - n * rho) * t + 1.0
-    else:
-        denom = (6 + 2 * n - 6 * n * rho) * t + 1.0
+    denom = _rate(family, n, rho) * t + 1.0
     if denom <= 0.0:
         raise OutOfDomainError(f"degradation-factor denominator {denom:g} is nonpositive")
     return 1.0 / denom

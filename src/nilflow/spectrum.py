@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -17,11 +16,8 @@ from .flow import _closed_form_base, closed_form, closed_form_coeffs
 from .joperator import j_matrix, theoretical_p_factor
 
 DEDUP_RTOL = 1e-12
-
-
-class PeriodSource(str, Enum):
-    CENTRAL = "central"
-    NONCENTRAL = "noncentral"
+# central_periods refuses a |Z*| with more than this many k, one period each
+MAX_PERIOD_K = 10**6
 
 
 @dataclass(frozen=True)
@@ -40,7 +36,6 @@ class GeodesicData:
 @dataclass(frozen=True)
 class PeriodSet:
     values: tuple[float, ...]  # multiset, in formula order
-    source: PeriodSource
 
     @property
     def as_set(self) -> tuple[float, ...]:
@@ -90,13 +85,17 @@ def geodesic_point(data: GeodesicData, s: float):
 
 def central_periods(z_norm: float) -> PeriodSet:
     """Periods {|Z*|} u {sqrt(4 pi k (|Z*| - pi k)) : 1 <= k <= |Z*|/(2 pi)}."""
-    if z_norm <= 0.0:
-        raise InvalidParameterError("central element norm must be positive")
-    values = [float(z_norm)]
+    if not 0.0 < z_norm < math.inf:  # a nan fails too
+        raise InvalidParameterError(
+            f"central element norm must be positive and finite, got {z_norm}")
     k_max = math.floor(z_norm / (2.0 * math.pi))
+    if k_max > MAX_PERIOD_K:
+        raise InvalidParameterError(f"central element norm {z_norm:g} has {k_max} periods "
+                                    f"past |Z*|, more than {MAX_PERIOD_K}")
+    values = [float(z_norm)]
     for k in range(1, k_max + 1):
         values.append(math.sqrt(4.0 * math.pi * k * (z_norm - math.pi * k)))
-    return PeriodSet(values=tuple(values), source=PeriodSource.CENTRAL)
+    return PeriodSet(values=tuple(values))
 
 
 def length_scaling_factors(family: Family, n: int, rho: float, g0, t: float):
@@ -107,18 +106,22 @@ def length_scaling_factors(family: Family, n: int, rho: float, g0, t: float):
     return base**coeffs.vector_exponent, base**coeffs.center_exponent
 
 
-def noncentral_period(family: Family, n: int, rho: float, g0, t: float, v_star) -> float:
-    """The unique period |V*|_t of a noncentral element, on the closed-form metric."""
-    family = Family(family)
+def _check_v_star(family: Family, n: int, v_star) -> np.ndarray:
+    """V* as an array, after checking it is a nonzero vector in complement coordinates."""
     v_star = np.asarray(v_star, dtype=float)
-    dim = family_dim(family, n)
-    n_center = 1 if family is Family.HEISENBERG else 3
-    if v_star.shape != (dim - n_center,):
+    n_center = 1 if Family(family) is Family.HEISENBERG else 3
+    if v_star.shape != (family_dim(family, n) - n_center,):
         raise InvalidParameterError("V* must be given in complement coordinates")
     if not np.any(v_star):
         raise InvalidParameterError("V* must be nonzero")
+    return v_star
+
+
+def noncentral_period(family: Family, n: int, rho: float, g0, t: float, v_star) -> float:
+    """The unique period |V*|_t of a noncentral element, on the closed-form metric."""
+    v_star = _check_v_star(family, n, v_star)
     g_t = closed_form(family, g0, n, rho, t)
-    return float(np.sqrt(np.sum(v_star**2 * g_t[: dim - n_center])))
+    return float(np.sqrt(np.sum(v_star**2 * g_t[: len(v_star)])))
 
 
 def length_spectrum_witness(family: Family, n: int, rho: float, g0, t: float,
@@ -128,14 +131,13 @@ def length_spectrum_witness(family: Family, n: int, rho: float, g0, t: float,
     The witness W* = vector_factor^(-1/2) V* demonstrates the length-spectrum
     preservation mechanism; |W*|_t - |V*|_0 is reported.
     """
-    family = Family(family)
-    v_star = np.asarray(v_star, dtype=float)
+    v_star = _check_v_star(family, n, v_star)
     vec_factor, _ = length_scaling_factors(family, n, rho, g0, t)
     scale = vec_factor**-0.5
     w_star = scale * v_star
     g0 = np.asarray(g0, dtype=float)
     norm_v0 = float(np.sqrt(np.sum(v_star**2 * g0[: len(v_star)])))
-    norm_w_t = noncentral_period(family, n, rho, g0, t, w_star) if np.any(w_star) else 0.0
+    norm_w_t = noncentral_period(family, n, rho, g0, t, w_star)
     return {
         "witness_scale": float(scale),
         "w_star": w_star,

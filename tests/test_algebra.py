@@ -61,7 +61,9 @@ def test_build_group_rejects_n_zero():
 def test_family_dim_takes_names_and_rejects_n_below_one():
     assert family_dim("heisenberg", 1) == 3
     assert family_dim("quaternion", 2) == 11
-    for family, n in ((Family.QUATERNION, 0), ("heisenberg", -1)):
+    assert family_dim(Family.HEISENBERG, np.int64(2)) == 5
+    for family, n in ((Family.QUATERNION, 0), ("heisenberg", -1), (Family.HEISENBERG, 1.5),
+                      ("heisenberg", True), (Family.QUATERNION, 2.0)):
         with pytest.raises(InvalidParameterError, match=f"n must be a positive integer, got {n}"):
             family_dim(family, n)
 
@@ -123,8 +125,6 @@ def test_metric_state_validation():
         MetricState.from_diag([1.0, -1.0, 1.0])
     with pytest.raises(InvalidParameterError):
         MetricState(g=np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(InvalidParameterError):
-        MetricState(g=np.array([[1.0, 0.1], [0.1, 1.0]]), diagonal_flag=True)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
@@ -146,5 +146,4 @@ def test_metric_state_rejects_non_finite_entries(build, bad):
 
 def test_metric_state_diagonal_fast_path():
     m = MetricState.from_diag([1.0, 2.0, 4.0])
-    assert m.diagonal_flag
     assert np.allclose(m.inverse, np.diag([1.0, 0.5, 0.25]))

@@ -231,6 +231,15 @@ def test_spectrum_non_finite_t_exit_2(t, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_spectrum_center_with_too_many_periods_exit_2(tmp_path, capsys):
+    # |Z*| = 1e10 would list about 1.6e9 central periods
+    out = tmp_path / "spec.json"
+    assert run(["spectrum", "--family", "heisenberg", "--n", "1", "--g0", "1,1,1e20",
+                "--output", str(out)]) == 2
+    assert "central element norm" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- sweep ---------------------------------------------------------------
 
 def test_sweep(tmp_path):

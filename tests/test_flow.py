@@ -231,6 +231,8 @@ def test_flow_params_validation():
         FlowParams(Family.HEISENBERG, 1, dt=0.0)
     with pytest.raises(InvalidParameterError):
         FlowParams(Family.HEISENBERG, 1, dt=2.0, t_end=1.0)
+    with pytest.raises(InvalidParameterError, match="n must be a positive integer, got 1.5"):
+        FlowParams(Family.HEISENBERG, 1.5)
     with pytest.warns(UserWarning):
         FlowParams(Family.HEISENBERG, 1, rho=0.5)
 

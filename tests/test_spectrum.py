@@ -9,7 +9,6 @@ from nilflow import (
     MetricState,
     NotApplicableError,
     PeriodSet,
-    PeriodSource,
     build_group,
     central_periods,
     closed_form,
@@ -85,7 +84,6 @@ def test_geodesic_with_degradation_factor():
 
 def test_central_periods_pi():
     ps = central_periods(math.pi)
-    assert ps.source is PeriodSource.CENTRAL
     assert ps.as_set == pytest.approx((math.pi,))
 
 
@@ -106,8 +104,15 @@ def test_central_periods_rejects_nonpositive():
         central_periods(0.0)
 
 
+# 2 pi (10**6 + 1) itself rounds to floor(|Z*|/(2 pi)) = 10**6; the half step lands on 10**6 + 1
+@pytest.mark.parametrize("z_norm", [math.inf, math.nan, 2.0 * math.pi * (10**6 + 1.5)])
+def test_central_periods_rejects_non_finite_or_too_many_periods(z_norm):
+    with pytest.raises(InvalidParameterError, match="central element norm"):
+        central_periods(z_norm)
+
+
 def test_period_set_dedup():
-    ps = PeriodSet(values=(2.0, 1.0, 2.0 + 1e-15), source=PeriodSource.CENTRAL)
+    ps = PeriodSet(values=(2.0, 1.0, 2.0 + 1e-15))
     assert ps.as_set == (1.0, 2.0)
 
 
@@ -155,6 +160,13 @@ def test_noncentral_period_validation():
         noncentral_period(Family.HEISENBERG, 1, 0.0, np.ones(3), 1.0, [0.0, 0.0])
     with pytest.raises(InvalidParameterError):
         noncentral_period(Family.HEISENBERG, 1, 0.0, np.ones(3), 1.0, [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("v_star", [np.zeros(2), np.zeros(1), np.ones(5)])
+def test_witness_checks_v_star_as_noncentral_period_does(v_star):
+    for check in (noncentral_period, length_spectrum_witness):
+        with pytest.raises(InvalidParameterError, match="V\\*"):
+            check(Family.HEISENBERG, 1, 0.0, np.ones(3), 1.0, v_star)
 
 
 def test_witness_restores_initial_norm():
