@@ -52,6 +52,7 @@ from .flow import (
     invariant_drift,
     rb_rhs_general,
     rhs_diagonal,
+    theoretical_p_factor,
 )
 from .joperator import (
     SpectralReport,
@@ -59,7 +60,6 @@ from .joperator import (
     classify,
     j_matrix,
     spectrum,
-    theoretical_p_factor,
     verify_p8,
 )
 from .spectrum import (  # noqa: I001  (must come before the `spectrum` rebind below)

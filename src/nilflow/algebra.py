@@ -37,11 +37,17 @@ class Family(str, Enum):
         return "H" if self is Family.HEISENBERG else "Q"
 
 
+def _check_integer(name: str, value, least: int) -> None:
+    """Raise unless ``value`` is an integer (a bool is not) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        bound = "a positive integer" if least == 1 else f"an integer of at least {least}"
+        raise InvalidParameterError(f"{name} must be {bound}, got {value}")
+
+
 def family_dim(family: Family, n: int) -> int:
     """Dimension of H_n (2n+1) or Q_n (4n+3), for a :class:`Family` or its name; integer n >= 1."""
     family = Family(family)
-    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
-        raise InvalidParameterError(f"n must be a positive integer, got {n}")
+    _check_integer("n", n, 1)
     return 2 * n + 1 if family is Family.HEISENBERG else 4 * n + 3
 
 

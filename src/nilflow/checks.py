@@ -12,11 +12,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import Family, LieAlgebraSpec, MetricState, build_group
+from .algebra import Family, LieAlgebraSpec, MetricState, basis_vector, build_group
 from .curvature import _scalar, ricci_general, ricci_specialized_diag, scalar_specialized
-from .flow import (FlowParams, Trajectory, _closed_form_at, closed_form, closed_form_coeffs,
-                   integrate, rhs_diagonal)
-from .joperator import SpectralReport, spectrum, theoretical_p_factor, verify_p8
+from .flow import (FlowParams, Trajectory, _closed_form_at, _exact_metric, _power_laws,
+                   closed_form_coeffs, integrate, rhs_diagonal)
+from .joperator import SpectralReport, spectrum, verify_p8
 from .spectrum import central_periods, length_spectrum_witness
 
 # |Z*| -> its central period set, ascending, worked by hand from the formula
@@ -47,8 +47,8 @@ def closed_form_error(traj: Trajectory) -> float:
     """Max relative error of the samples against the exact solution from the first."""
     family, g0 = Family(traj.family), traj.states[0]
     coeffs = closed_form_coeffs(family, g0, traj.n, traj.rho)  # the hypotheses, checked once
-    return _worst(np.abs(state / _closed_form_at(family, g0, traj.n, coeffs, t) - 1.0).max()
-                  for t, state in zip(traj.times, traj.states))
+    return _worst(np.abs(state / _closed_form_at(family, g0, traj.n, _power_laws(coeffs, t))
+                         - 1.0).max() for t, state in zip(traj.times, traj.states))
 
 
 def max_drift(traj: Trajectory) -> float:
@@ -62,20 +62,12 @@ def reduction_residual(spec: LieAlgebraSpec, metrics) -> float:
                   for d in metrics)
 
 
-def _flowed(spec: LieAlgebraSpec, rho: float, t: float) -> tuple[MetricState, float]:
-    """The exact flow from the identity at time t, and p(t)."""
-    g_t = closed_form(spec.family, np.ones(spec.dim), spec.n, rho, t)
-    return MetricState.from_diag(g_t, t=t), theoretical_p_factor(spec.family, spec.n, rho, t)
-
-
 def degradation_spectrum(spec: LieAlgebraSpec, rho: float,
                          t: float) -> tuple[SpectralReport, float, float]:
     """j(Z)'s spectrum on the exact flow from the identity, p(t) and |Z|_t^2; Z = e_center."""
-    metric, p = _flowed(spec, rho, t)
+    metric, p = _exact_metric(spec.family, spec.n, rho, np.ones(spec.dim), t)
     c = spec.center_indices[0]
-    z = np.zeros(spec.dim)
-    z[c] = 1.0
-    return spectrum(spec, metric, z), p, metric.g[c, c]
+    return spectrum(spec, metric, basis_vector(spec.dim, c)), p, metric.g[c, c]
 
 
 def spectral_deviation(spec: LieAlgebraSpec, rho: float, times) -> float:
@@ -90,8 +82,9 @@ def spectral_deviation(spec: LieAlgebraSpec, rho: float, times) -> float:
 
 def p8_residual(spec: LieAlgebraSpec, rho: float, times, samples: int, seed: int) -> float:
     """Max residual of the five P-factor identities on the exact flow from the identity."""
-    return _worst(verify_p8(spec, *_flowed(spec, rho, t), samples=samples,
-                            seed=seed)["max_residual"] for t in times)
+    ones = np.ones(spec.dim)
+    return _worst(verify_p8(spec, *_exact_metric(spec.family, spec.n, rho, ones, t),
+                            samples=samples, seed=seed)["max_residual"] for t in times)
 
 
 def period_deviation(z_norms) -> float:

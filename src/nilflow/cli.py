@@ -12,25 +12,16 @@ import json
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .algebra import Family, MetricState, build_group, family_dim
+from .algebra import Family, MetricState, basis_vector, build_group, family_dim
 from .checks import CHECKS, VerifyCase
-from .curvature import (
-    _check_diag,
-    curvature_report,
-    literal_discrepancy,
-    ricci_specialized_diag,
-    scalar_specialized,
-    sigma_heisenberg,
-    sigma_quaternion,
-)
+from .curvature import _check_diag, _diag_curvature, curvature_report, literal_discrepancy
 from .errors import NilflowError
-from .flow import FlowParams, TerminationReason, closed_form, integrate
-from .joperator import classify, spectrum, theoretical_p_factor
+from .flow import FlowParams, TerminationReason, _exact_metric, integrate
+from .joperator import classify, spectrum
 from .spectrum import central_periods
 
 SCHEMA_VERSION = 1
@@ -155,21 +146,20 @@ def _cmd_curvature(args, config) -> int:
     report = curvature_report(spec, metric)
     ric = report.ricci
     r_dev, ric_dev, flagged = literal_discrepancy(spec, metric, report=report)
+    ric_spec, scalar_spec, sigma, _ = _diag_curvature(family, g0, args.n)
     result = {
         "ricci_diag": np.diag(ric),
         "ricci_offdiag_max": float(np.abs(ric - np.diag(np.diag(ric))).max()),
-        "ricci_specialized_diag": ricci_specialized_diag(family, g0, args.n),
+        "ricci_specialized_diag": ric_spec,
         "scalar": report.scalar,
-        "scalar_specialized": scalar_specialized(family, g0, args.n),
+        "scalar_specialized": scalar_spec,
         "literal_formula_deviation": {"riemann": r_dev, "ricci": ric_dev,
                                       "flagged": flagged},
     }
     if family is Family.HEISENBERG:
-        result["sigma"] = sigma_heisenberg(g0, args.n)
+        result["sigma"] = sigma
     else:
-        sp, s1, s2, s3 = sigma_quaternion(g0, args.n)
-        result["sigma_prime"] = sp
-        result["sigma_123"] = [s1, s2, s3]
+        result["sigma_prime"], result["sigma_123"] = sigma[0], list(sigma[1:])
     _write(args.output, _json_dumps(_envelope(config, result)) + "\n")
     return 0
 
@@ -213,6 +203,8 @@ def _cmd_sweep(args, config) -> int:
                                f"{path} (file names keep 6 significant digits of rho)")
         seen[path] = rho
     os.makedirs(args.output_dir, exist_ok=True)
+    from concurrent.futures import ThreadPoolExecutor  # here, so other subcommands skip its import
+
     with ThreadPoolExecutor(max_workers=min(len(rhos), 8)) as pool:
         trajs = list(pool.map(lambda r: _run_flow(family, args.n, r, g0, args), rhos))
 
@@ -239,12 +231,10 @@ def _cmd_spectrum(args, config) -> int:
     rho = float(args.rho)
     g0 = _parse_g0(args.g0, family_dim(family, args.n))
     spec = build_group(family, args.n)
-    g_t = closed_form(family, g0, args.n, rho, args.t) if args.t > 0.0 else g0
-    metric = MetricState.from_diag(g_t, t=args.t)
-    z = np.zeros(spec.dim)
-    z[spec.center_indices[0]] = 1.0
-    report = spectrum(spec, metric, z)
-    z_norm = float(np.sqrt(g_t[spec.center_indices[0]]))
+    metric, p = _exact_metric(family, args.n, rho, g0, args.t)
+    c = spec.center_indices[0]
+    report = spectrum(spec, metric, basis_vector(spec.dim, c))
+    z_norm = float(np.sqrt(metric.g[c, c]))
     periods = central_periods(z_norm)
     result = {
         "mu": report.mu,
@@ -252,7 +242,7 @@ def _cmd_spectrum(args, config) -> int:
         "subspace_dims": list(report.subspace_dims),
         "verdict": report.verdict.value,
         "p_factor_observed": report.p_factor_observed,
-        "p_factor_theoretical": theoretical_p_factor(family, args.n, rho, args.t),
+        "p_factor_theoretical": p,
         "classification": classify(spec, metric, seed=args.seed).value,
         "central_periods": {"z_norm": z_norm,
                             "values": list(periods.values),

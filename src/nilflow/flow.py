@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import Family, LieAlgebraSpec, MetricState, family_dim
+from .algebra import Family, LieAlgebraSpec, MetricState, _check_integer, family_dim
 from .curvature import (
     _check_diag,
     _diag_curvature,
@@ -58,8 +58,7 @@ class FlowParams:
             raise InvalidParameterError("t_end must be nonnegative")
         if self.t_end > 0.0 and self.dt > self.t_end:
             raise InvalidParameterError("dt must not exceed t_end")
-        if self.record_every < 1:
-            raise InvalidParameterError("record_every must be positive")
+        _check_integer("record_every", self.record_every, 1)
         if not np.isfinite([self.rho, self.dt, self.t_end]).all():
             raise InvalidParameterError("flow parameters must be finite")
         steps = self.t_end / self.dt
@@ -217,15 +216,31 @@ def _failure_reason(state) -> TerminationReason:
 
 def _rate(family: Family, n: int, rho: float) -> float:
     """n + 2 - n rho on H_n, 6 + 2n - 6n rho on Q_n: the exact solutions' exponent denominator."""
+    if not np.isfinite(rho):
+        raise InvalidParameterError("rho must be finite")
     return n + 2 - n * rho if family is Family.HEISENBERG else 6.0 + 2 * n - 6 * n * rho
+
+
+def _base(b: float, t: float) -> float:
+    """The base 1 + b t of the exact solution's powers, for a finite t where it is positive."""
+    if not np.isfinite(t):
+        raise InvalidParameterError(f"t must be finite, got {t}")
+    base = 1.0 + b * t
+    if base <= 0.0:
+        raise OutOfDomainError(f"1 + {b:g} * t is nonpositive at t = {t:g}")
+    return base
+
+
+def theoretical_p_factor(family: Family, n: int, rho: float, t: float) -> float:
+    """The degradation factor 1/(1 + (n+2-n rho) t) or 1/(1 + (6+2n-6n rho) t); taken from
+    the rate, not from ``closed_form_coeffs``, which raise at rate 0, where p is 1."""
+    return 1.0 / _base(_rate(Family(family), n, rho), t)
 
 
 def closed_form_coeffs(family: Family, g0, n: int, rho: float) -> ClosedFormCoeffs:
     """Constants of the exact solutions, after checking their hypotheses."""
     family = Family(family)
     g0 = np.array(_check_diag(g0, family_dim(family, n)))
-    if not np.isfinite(rho):
-        raise InvalidParameterError("rho must be finite")
     denom = _rate(family, n, rho)
     if family is Family.HEISENBERG:
         products = g0[:n] * g0[n : 2 * n]
@@ -261,32 +276,32 @@ def closed_form(family: Family, g0, n: int, rho: float, t: float) -> np.ndarray:
     """Exact diagonal solution at time t, under the admissibility hypotheses on g0."""
     family = Family(family)
     g0 = np.asarray(g0, dtype=float)
-    coeffs = closed_form_coeffs(family, g0, n, rho)
-    return _closed_form_at(family, g0, n, coeffs, t)
+    return _closed_form_at(family, g0, n, _power_laws(closed_form_coeffs(family, g0, n, rho), t))
 
 
-def _closed_form_base(coeffs: ClosedFormCoeffs, t: float) -> float:
-    """The base 1 + b t of the exact solutions' powers, for a finite t in their domain."""
-    if not np.isfinite(t):
-        raise InvalidParameterError(f"t must be finite, got {t}")
-    base = 1.0 + coeffs.b_or_c * t
-    if base <= 0.0:
-        raise OutOfDomainError(f"1 + {coeffs.b_or_c:g} * t is nonpositive at t = {t:g}")
-    return base
+def _power_laws(coeffs: ClosedFormCoeffs, t: float) -> tuple[float, float]:
+    """The squared-norm factors (base**vector_exponent, base**center_exponent) at time t."""
+    base = _base(coeffs.b_or_c, t)
+    return base**coeffs.vector_exponent, base**coeffs.center_exponent
 
 
-def _closed_form_at(family: Family, g0: np.ndarray, n: int, coeffs: ClosedFormCoeffs,
-                    t: float) -> np.ndarray:
-    """The exact solution at time t from the checked ``g0`` and its ``coeffs``."""
-    base = _closed_form_base(coeffs, t)
+def _closed_form_at(family: Family, g0: np.ndarray, n: int, factors: tuple) -> np.ndarray:
+    """The exact solution from the checked ``g0``, given its ``_power_laws`` factors."""
+    vec, cen = factors
     out = np.empty_like(g0)
     if family is Family.HEISENBERG:
-        out[: 2 * n] = g0[: 2 * n] * base**coeffs.vector_exponent
-        out[2 * n] = g0[2 * n] * base**coeffs.center_exponent
+        out[: 2 * n] = g0[: 2 * n] * vec
+        out[2 * n] = g0[2 * n] * cen
     else:
-        out[: 4 * n] = g0[0] * base**coeffs.vector_exponent
-        out[4 * n :] = g0[4 * n] * base**coeffs.center_exponent
+        out[: 4 * n] = g0[0] * vec
+        out[4 * n :] = g0[4 * n] * cen
     return out
+
+
+def _exact_metric(family: Family, n: int, rho: float, g0, t: float) -> tuple[MetricState, float]:
+    """The exact flow from ``g0`` at time t as a metric, and p(t); at t = 0, g0 itself."""
+    g_t = closed_form(family, g0, n, rho, t) if t > 0.0 else g0
+    return MetricState.from_diag(g_t, t=t), theoretical_p_factor(family, n, rho, t)
 
 
 def conserved_quantities(family: Family, n: int, rho: float, g) -> dict[str, float]:

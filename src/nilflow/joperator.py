@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from numbers import Integral
 
 import numpy as np
 
-from .algebra import Family, LieAlgebraSpec, MetricState, _bracket
-from .errors import InvalidParameterError, OutOfDomainError
-from .flow import _rate
+from .algebra import LieAlgebraSpec, MetricState, _bracket, _check_integer
+from .errors import InvalidParameterError
 
 CLUSTER_RTOL = 1e-9
 TYPE_ATOL = 1e-10
@@ -38,11 +36,6 @@ class SpectralReport:
     verdict: Verdict
     p_factor_observed: float
     eigenvalues: tuple[float, ...]
-
-
-def _check_integer(name: str, value, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-        raise InvalidParameterError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def _center_coords(spec: LieAlgebraSpec, z) -> np.ndarray:
@@ -190,17 +183,6 @@ def classify(spec: LieAlgebraSpec, metric: MetricState, seed: int = 7) -> Verdic
     if Verdict.NEITHER not in verdicts:
         return Verdict.HEISENBERG_LIKE
     return Verdict.NEITHER
-
-
-def theoretical_p_factor(family: Family, n: int, rho: float, t: float) -> float:
-    """The degradation factor 1/((n+2-n rho) t + 1) or 1/((6+2n-6n rho) t + 1)."""
-    family = Family(family)
-    if not np.isfinite([rho, t]).all():
-        raise InvalidParameterError(f"rho and t must be finite, got rho = {rho}, t = {t}")
-    denom = _rate(family, n, rho) * t + 1.0
-    if denom <= 0.0:
-        raise OutOfDomainError(f"degradation-factor denominator {denom:g} is nonpositive")
-    return 1.0 / denom
 
 
 # verify_p8 takes its samples in blocks of about this many bytes of one (samples, dim_V,

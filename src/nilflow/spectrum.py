@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Family, LieAlgebraSpec, MetricState, family_dim, inner
+from .algebra import Family, LieAlgebraSpec, MetricState, _bracket, build_group, inner
 from .errors import InvalidParameterError, NotApplicableError
-from .flow import _closed_form_base, closed_form, closed_form_coeffs
-from .joperator import j_matrix, theoretical_p_factor
+from .flow import _closed_form_at, _power_laws, closed_form, closed_form_coeffs
+from .joperator import CLUSTER_RTOL, _full, _off_line, j_matrix
 
 DEDUP_RTOL = 1e-12
 # central_periods refuses a |Z*| with more than this many k, one period each
@@ -26,9 +26,8 @@ class GeodesicData:
 
     x0: np.ndarray  # complement coordinates
     z0: np.ndarray  # full-length center vector
-    t: float
-    theta: float
-    j: np.ndarray  # j(Z0) on V at time t
+    theta: float  # j(Z0)^2 X0 = -theta^2 X0; 0 when X0 = 0
+    j: np.ndarray  # j(Z0) on V
     x0_norm2: float
     z0_norm2: float
 
@@ -47,39 +46,49 @@ class PeriodSet:
         return tuple(out)
 
 
-def make_geodesic_data(spec: LieAlgebraSpec, metric: MetricState, x0, z0,
-                       p_factor: float = 1.0) -> GeodesicData:
-    """Assemble theta = sqrt(P) |Z0| and J = j(Z0) for the geodesic formula."""
+def make_geodesic_data(spec: LieAlgebraSpec, metric: MetricState, x0, z0) -> GeodesicData:
+    """Assemble J = j(Z0) and theta = |J X0| / |X0| for the geodesic formula.
+
+    The formula holds when X0 lies in one eigenspace of J^2 (within
+    ``CLUSTER_RTOL``) and [J X0, X0] on the line of Z0 (within ``LIKE_RTOL``);
+    on the exact flow from the identity, theta^2 = p(t) |Z0|_t^2.
+    """
     x0 = np.asarray(x0, dtype=float)
     z0 = np.asarray(z0, dtype=float)
-    v_idx = list(spec.complement_indices)
+    v_idx, c_idx = spec.complement_array, spec.center_array
     if x0.shape != (len(v_idx),):
         raise InvalidParameterError("x0 must be given in complement coordinates")
-    if not np.any(z0[list(spec.center_indices)]):
+    if not np.any(z0[c_idx]):
         raise NotApplicableError("the geodesic formula needs a nonzero central part")
-    z0_norm2 = inner(metric, z0, z0)
-    x0_full = np.zeros(spec.dim)
-    x0_full[v_idx] = x0
-    x0_norm2 = inner(metric, x0_full, x0_full)
+    g_v = metric.g[spec.complement_block]
+    x0_norm2 = float(x0 @ g_v @ x0)
     j = j_matrix(spec, metric, z0)
-    return GeodesicData(
-        x0=x0, z0=z0, t=metric.t,
-        theta=float(np.sqrt(p_factor) * np.sqrt(z0_norm2)),
-        j=j, x0_norm2=float(x0_norm2), z0_norm2=float(z0_norm2),
-    )
+    theta2 = 0.0
+    if x0_norm2 > 0.0:
+        jx = j @ x0
+        theta2 = float(jx @ g_v @ jx) / x0_norm2
+        resid = j @ jx + theta2 * x0  # J^2 X0 + theta^2 X0
+        if float(resid @ g_v @ resid) > (CLUSTER_RTOL * max(1.0, theta2)) ** 2 * x0_norm2:
+            raise NotApplicableError("the geodesic formula needs X0 in one eigenspace of j(Z0)^2")
+        br = _bracket(spec, *_full(spec, v_idx, np.array([jx, x0])))[c_idx]
+        if _off_line(metric.g[np.ix_(c_idx, c_idx)], z0[None, c_idx], br[None],
+                     np.array([x0 @ x0]))[0]:
+            raise NotApplicableError("the geodesic formula needs [j(Z0)X0, X0] on the line of Z0")
+    return GeodesicData(x0=x0, z0=z0, theta=math.sqrt(theta2), j=j,
+                        x0_norm2=x0_norm2, z0_norm2=inner(metric, z0, z0))
 
 
 def geodesic_point(data: GeodesicData, s: float):
     """(X(s), Z(s)) of the explicit geodesic; X in complement coordinates,
     Z as a full-length center vector.  X(0) = 0, Z(0) = 0."""
     th = data.theta
-    if th <= 0.0:
-        raise NotApplicableError("theta must be positive (Z0 != 0)")
+    if th == 0.0:  # X0 = 0: the one-parameter subgroup s Z0
+        return np.zeros_like(data.x0), s * data.z0
     cos_m1 = math.cos(s * th) - 1.0
     sinc = math.sin(s * th) / th
     x = cos_m1 * np.linalg.solve(data.j, data.x0) + sinc * data.x0
     ratio = data.x0_norm2 / (2.0 * data.z0_norm2)
-    z = (s * (1.0 + ratio) + sinc * ratio) * data.z0
+    z = (s * (1.0 + ratio) - sinc * ratio) * data.z0
     return x, z
 
 
@@ -100,28 +109,30 @@ def central_periods(z_norm: float) -> PeriodSet:
 
 def length_scaling_factors(family: Family, n: int, rho: float, g0, t: float):
     """Squared-norm scaling (vector_factor, center_factor) of the exact solution."""
-    family = Family(family)
-    coeffs = closed_form_coeffs(family, g0, n, rho)
-    base = _closed_form_base(coeffs, t)
-    return base**coeffs.vector_exponent, base**coeffs.center_exponent
+    return _power_laws(closed_form_coeffs(family, g0, n, rho), t)
 
 
 def _check_v_star(family: Family, n: int, v_star) -> np.ndarray:
     """V* as an array, after checking it is a nonzero vector in complement coordinates."""
     v_star = np.asarray(v_star, dtype=float)
-    n_center = 1 if Family(family) is Family.HEISENBERG else 3
-    if v_star.shape != (family_dim(family, n) - n_center,):
+    if v_star.shape != (build_group(family, n).dim_v,):
         raise InvalidParameterError("V* must be given in complement coordinates")
     if not np.any(v_star):
         raise InvalidParameterError("V* must be nonzero")
     return v_star
 
 
+def _v_norm(v: np.ndarray, g_v: np.ndarray) -> float:
+    """sqrt(sum(v**2 g_v)) taken on v / 2^k, 2^k near max |v|: the bits of the plain sum where
+    it stays in range (powers of two scale exactly), and no underflow or overflow where not."""
+    k = math.frexp(float(np.max(np.abs(v))))[1]
+    return float(np.ldexp(np.sqrt(np.sum(np.ldexp(v, -k) ** 2 * g_v)), k))
+
+
 def noncentral_period(family: Family, n: int, rho: float, g0, t: float, v_star) -> float:
     """The unique period |V*|_t of a noncentral element, on the closed-form metric."""
     v_star = _check_v_star(family, n, v_star)
-    g_t = closed_form(family, g0, n, rho, t)
-    return float(np.sqrt(np.sum(v_star**2 * g_t[: len(v_star)])))
+    return _v_norm(v_star, closed_form(family, g0, n, rho, t)[: len(v_star)])
 
 
 def length_spectrum_witness(family: Family, n: int, rho: float, g0, t: float,
@@ -132,12 +143,13 @@ def length_spectrum_witness(family: Family, n: int, rho: float, g0, t: float,
     preservation mechanism; |W*|_t - |V*|_0 is reported.
     """
     v_star = _check_v_star(family, n, v_star)
-    vec_factor, _ = length_scaling_factors(family, n, rho, g0, t)
-    scale = vec_factor**-0.5
-    w_star = scale * v_star
+    family = Family(family)
     g0 = np.asarray(g0, dtype=float)
-    norm_v0 = float(np.sqrt(np.sum(v_star**2 * g0[: len(v_star)])))
-    norm_w_t = noncentral_period(family, n, rho, g0, t, w_star)
+    factors = _power_laws(closed_form_coeffs(family, g0, n, rho), t)
+    scale = factors[0] ** -0.5
+    w_star = scale * v_star
+    norm_v0 = _v_norm(v_star, g0[: len(v_star)])
+    norm_w_t = _v_norm(w_star, _closed_form_at(family, g0, n, factors)[: len(v_star)])
     return {
         "witness_scale": float(scale),
         "w_star": w_star,

@@ -1,11 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import nilflow.checks as checks_module
+import nilflow.cli
+import nilflow.curvature
 from nilflow import Family, Trajectory, closed_form
 from nilflow.cli import _json_dumps, main
 
@@ -52,6 +56,29 @@ def test_curvature_custom_g0(tmp_path):
     doc = read_json(out)
     assert doc["result"]["ricci_diag"][2] == pytest.approx(
         2.1**2 / (2 * 1.3 * 0.7), rel=1e-15)
+
+
+def test_curvature_evaluates_the_diagonal_kernel_once(tmp_path, monkeypatch):
+    # the specialized Ricci diagonal, scalar and sigma all come from one evaluation
+    calls = []
+    real = nilflow.curvature._diag_curvature
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (nilflow.curvature, nilflow.cli):
+        monkeypatch.setattr(module, "_diag_curvature", counted)
+    assert run(["curvature", "--family", "quaternion", "--n", "2",
+                "--output", str(tmp_path / "cur.json")]) == 0
+    assert len(calls) == 1
+
+
+def test_importing_the_cli_skips_the_sweep_pool():
+    src = os.path.dirname(os.path.dirname(nilflow.__file__))
+    code = "import sys, nilflow.cli; sys.exit('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # --- flow ----------------------------------------------------------------

@@ -237,6 +237,13 @@ def test_flow_params_validation():
         FlowParams(Family.HEISENBERG, 1, rho=0.5)
 
 
+@pytest.mark.parametrize("record_every", [2.5, True, 0, "2"])
+def test_flow_params_record_every_is_an_integer_of_at_least_one(record_every):
+    # 2.5 used to record every 5 steps, and True was taken as 1
+    with pytest.raises(InvalidParameterError, match="record_every must be a positive integer"):
+        FlowParams(Family.HEISENBERG, 1, dt=0.1, t_end=1.0, record_every=record_every)
+
+
 @pytest.mark.parametrize("t_end,dt", [(1.0, 0.3), (2.0, 0.15), (1.0, 1e-3 * 1.5)])
 def test_flow_params_rejects_partial_last_step(t_end, dt):
     # a horizon that is not a whole number of steps would stop short of t_end
